@@ -1,10 +1,8 @@
-// Sweep-mode ablation: energy-vs-sweep and wall time for the serial sweep,
-// the prefetch-overlapped serial sweep, and real-space parallel sweeps at
-// R ∈ {2, 4} regions — all on the same Heisenberg chain from the same
-// product state. The serial configurations are bitwise identical (the
-// prefetch column only moves where the environment refresh is charged); the
-// real-space rows show the convergence cost of boundary reconciliation that
-// buys intra-sweep parallelism.
+// Sweep-mode ablation: energy-vs-sweep and wall time for the serial sweep and
+// real-space parallel sweeps at R ∈ {2, 4} regions — all on the same
+// Heisenberg chain from the same product state. The real-space rows show the
+// convergence cost of boundary reconciliation that buys intra-sweep
+// parallelism.
 //
 // Shape to reproduce: all configurations converge to the same ground-state
 // energy; regions>1 trails the serial energy by a reconciliation-limited gap
@@ -23,7 +21,6 @@ struct Config {
   const char* label;
   dmrg::SweepMode mode;
   int regions;
-  bool prefetch;
 };
 
 struct SweepRow {
@@ -50,16 +47,14 @@ int main(int argc, char** argv) {
   const int sweeps = bench::full_mode() ? 8 : 6;
 
   const std::vector<Config> configs = {
-      {"serial", dmrg::SweepMode::kSerial, 1, false},
-      {"serial+prefetch", dmrg::SweepMode::kSerial, 1, true},
-      {"real-space R=2", dmrg::SweepMode::kRealSpace, 2, false},
-      {"real-space R=4", dmrg::SweepMode::kRealSpace, 4, false},
+      {"serial", dmrg::SweepMode::kSerial, 1},
+      {"real-space R=2", dmrg::SweepMode::kRealSpace, 2},
+      {"real-space R=4", dmrg::SweepMode::kRealSpace, 4},
   };
 
   bench::Csv csv(bench::csv_path(argc, argv),
-                 "driver,workload,mode,regions,prefetch,sweep,energy,max_bond,"
-                 "trunc_err,wall_s,gemm_s,prefetch_s,prefetch_launched,"
-                 "prefetch_wait_s,total_flops");
+                 "driver,workload,mode,regions,sweep,energy,max_bond,"
+                 "trunc_err,wall_s,gemm_s,total_flops");
 
   const std::string workload = "heisenberg-chain-" + std::to_string(n);
   auto mr = bench::make_metrics("bench_realspace_sweep");
@@ -76,7 +71,6 @@ int main(int argc, char** argv) {
     p.davidson_iter = 3;
     p.mode = c.mode;
     p.regions = c.regions;
-    p.prefetch = c.prefetch;
 
     std::vector<SweepRow> rows;
     double total = 0.0;
@@ -92,25 +86,18 @@ int main(int argc, char** argv) {
 
     Table t(std::string("energy vs sweep — ") + c.label + " (N=" +
             std::to_string(n) + ", m=" + std::to_string(m) + ")");
-    t.header({"sweep", "energy", "max m", "trunc err", "wall s", "gemm s",
-              "prefetch s", "pf launched", "pf wait s"});
+    t.header({"sweep", "energy", "max m", "trunc err", "wall s", "gemm s"});
     for (const SweepRow& r : rows) {
       t.row({std::to_string(r.rec.sweep), fmt(r.rec.energy, 10),
              fmt_int(r.rec.max_bond_dim), fmt_sci(r.rec.truncation_error, 2),
              fmt_sci(r.wall_s, 2),
-             fmt_sci(r.rec.costs.time(rt::Category::kGemm), 2),
-             fmt_sci(r.rec.costs.time(rt::Category::kPrefetch), 2),
-             std::to_string(r.rec.prefetch_launched),
-             fmt_sci(r.rec.prefetch_wait_seconds, 2)});
+             fmt_sci(r.rec.costs.time(rt::Category::kGemm), 2)});
       csv.row({"bench_realspace_sweep", workload,
                dmrg::sweep_mode_name(r.rec.mode), std::to_string(r.rec.regions),
-               c.prefetch ? "1" : "0", std::to_string(r.rec.sweep),
+               std::to_string(r.rec.sweep),
                fmt(r.rec.energy, 12), std::to_string(r.rec.max_bond_dim),
                fmt_sci(r.rec.truncation_error, 6), fmt_sci(r.wall_s, 6),
                fmt_sci(r.rec.costs.time(rt::Category::kGemm), 6),
-               fmt_sci(r.rec.costs.time(rt::Category::kPrefetch), 6),
-               std::to_string(r.rec.prefetch_launched),
-               fmt_sci(r.rec.prefetch_wait_seconds, 6),
                fmt_sci(r.rec.costs.flops(), 6)});
     }
     t.print();
@@ -125,17 +112,14 @@ int main(int argc, char** argv) {
   }
 
   Table s("ablation summary — total wall time and final energy");
-  s.header({"config", "regions", "prefetch", "final energy", "total wall s",
-            "vs serial"});
+  s.header({"config", "regions", "final energy", "total wall s", "vs serial"});
   for (std::size_t i = 0; i < configs.size(); ++i)
-    s.row({configs[i].label, std::to_string(configs[i].regions),
-           configs[i].prefetch ? "on" : "off", fmt(finals[i], 10),
+    s.row({configs[i].label, std::to_string(configs[i].regions), fmt(finals[i], 10),
            fmt_sci(totals[i], 2), fmt(totals[i] / totals[0], 2)});
   s.print();
   std::cout << "\nShape to reproduce: identical final energies across\n"
-               "configurations (serial rows bitwise equal); real-space rows\n"
-               "trade a small early-sweep energy lag for intra-sweep\n"
-               "parallelism across regions.\n";
+               "configurations; real-space rows trade a small early-sweep\n"
+               "energy lag for intra-sweep parallelism across regions.\n";
   mr.write(bench::metrics_path(argc, argv));
   return 0;
 }

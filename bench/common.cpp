@@ -1,8 +1,6 @@
 #include "common.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -80,9 +78,6 @@ void add_sweep_metrics(rt::MetricsRegistry& mr, const std::string& sec,
   mr.add(sec, "wall_s", rec.wall_seconds);
   mr.add(sec, "mode", std::string(dmrg::sweep_mode_name(rec.mode)));
   mr.add(sec, "regions", static_cast<double>(rec.regions));
-  mr.add(sec, "prefetch_launched", static_cast<double>(rec.prefetch_launched));
-  mr.add(sec, "prefetch_hits", static_cast<double>(rec.prefetch_hits));
-  mr.add(sec, "prefetch_wait_s", rec.prefetch_wait_seconds);
   mr.add_tracker(sec, rec.costs);
 }
 
@@ -262,41 +257,26 @@ DistMeasurement measure_step_distributed(const Workload& w, index_t m, int ranks
 
 namespace {
 
-// One short prefetch-overlapped sweep through a `ranks`-rank scheduler: the
-// full pipeline — rank-sharded contractions, async environment prefetch, and
-// Davidson — in one run, so a TT_TRACE'd `--ranks` invocation records spans
-// from every rank *and* the sweep-turn prefetch/Davidson overlap (the in-
-// flight extension a turn bond never demands; see dmrg.cpp optimize_bond).
-// Small m on purpose: this is a smoke for the timeline, not a measurement.
-//
-// At bench scale the prefetch engine runs locally while theta and Davidson
-// pay real IPC through the scheduler, so the in-flight extension would finish
-// under theta and the turn overlap — which at paper scale is a same-order
-// contraction — would be invisible in the timeline. A stall of one measured
-// bond-wall (same host, same load, so it tracks theta robustly) keeps the
-// future alive into the Davidson window.
-dmrg::SweepRecord pipeline_smoke(const Workload& w, index_t m, int ranks,
-                                 double bond_wall_s) {
+// One short sweep through a `ranks`-rank scheduler: the full pipeline —
+// rank-sharded contractions, environment extension, and Davidson — in one
+// run, so a TT_TRACE'd `--ranks` invocation records sweep spans from every
+// rank. Small m on purpose: this is a smoke for the timeline, not a
+// measurement.
+dmrg::SweepRecord pipeline_smoke(const Workload& w, index_t m, int ranks) {
   Rng rng(1);
   mps::Mps psi = mps::Mps::random(w.sites, w.sector, m, rng);
 
   rt::SchedulerOptions sopts;
   sopts.num_ranks = ranks;
-  rt::Scheduler sched(sopts);  // forks before the prefetch queue exists
+  rt::Scheduler sched(sopts);
 
   auto engine = dmrg::make_engine(dmrg::EngineKind::kList, {rt::blue_waters(), 1, 16});
   engine->set_scheduler(&sched);
   dmrg::Dmrg solver(std::move(psi), w.h, std::move(engine));
 
-  const long delay_ms = std::min<long>(
-      500, std::max<long>(50, std::lround(bond_wall_s * 1000.0)));
-  solver.environments().set_prefetch_delay_for_testing(
-      std::chrono::milliseconds(delay_ms));
-
   dmrg::SweepParams params;
   params.max_m = m;
   params.davidson_iter = 2;
-  params.prefetch = true;
   return solver.sweep(params);
 }
 
@@ -323,10 +303,8 @@ bool distributed_mode(int argc, char** argv, const std::string& driver,
   t.header({"m(eq)", "ranks", "wall s", "gemm s", "comm s", "imb s", "MB moved",
             "bins"});
   rt::CostTracker measured_total;
-  double first_step_wall = 0.0;
   for (index_t m : ms) {
     const DistMeasurement d = measure_step_distributed(w, m, ranks);
-    if (first_step_wall == 0.0) first_step_wall = d.wall_seconds;
     measured_total.merge(d.costs);
     int bins = 0;
     for (const auto& r : d.dist.ranks) bins += r.bins;
@@ -370,16 +348,13 @@ bool distributed_mode(int argc, char** argv, const std::string& driver,
   t.print();
   print_metrics_summary("\nmeasured breakdown (all steps)", measured_total);
 
-  // Full-pipeline smoke: one prefetch-overlapped sweep through the same
-  // scheduler config, so a traced run (TT_TRACE=...) shows rank-sharded
-  // contraction spans AND the prefetch/Davidson overlap in one timeline.
+  // Full-pipeline smoke: one sweep through the same scheduler config, so a
+  // traced run (TT_TRACE=...) shows rank-sharded contraction spans and the
+  // sweep structure in one timeline.
   const index_t m_smoke = std::min<index_t>(ms.front(), 32);
-  const dmrg::SweepRecord smoke =
-      pipeline_smoke(w, m_smoke, ranks, first_step_wall);
+  const dmrg::SweepRecord smoke = pipeline_smoke(w, m_smoke, ranks);
   std::cout << "pipeline smoke: 1 sweep at m=" << m_smoke << ", E = "
-            << fmt_sci(smoke.energy, 6) << ", prefetch "
-            << smoke.prefetch_hits << "/" << smoke.prefetch_launched
-            << " hits\n";
+            << fmt_sci(smoke.energy, 6) << "\n";
   add_sweep_metrics(mr, "pipeline_smoke", smoke);
 
   std::cout << "\nMeasured mode: real multi-" << rt::spawn_mode_name(

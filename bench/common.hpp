@@ -65,7 +65,7 @@ void print_metrics_summary(const std::string& title, const rt::CostTracker& t,
                            std::ostream& os = std::cout);
 
 /// Flatten a SweepRecord into `mr` section `sec`: energy, bond dimension,
-/// wall time, cost breakdown, prefetch counters. Lives here because
+/// wall time, cost breakdown. Lives here because
 /// rt::MetricsRegistry cannot depend on the dmrg layer.
 void add_sweep_metrics(rt::MetricsRegistry& mr, const std::string& sec,
                        const dmrg::SweepRecord& rec);

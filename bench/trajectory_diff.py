@@ -39,8 +39,8 @@ import sys
 # only participates when both rows carry it.
 IDENTITY_FIELDS = (
     "driver", "workload", "machine", "source", "series", "panel", "engine",
-    "mode", "regions", "prefetch", "sweep", "m_bench", "m_equiv", "nodes",
-    "ppn", "ranks",
+    "mode", "regions", "sweep", "m_bench", "m_equiv", "nodes", "ppn",
+    "ranks",
 )
 
 # Time-like value fields, checked against the regression threshold.

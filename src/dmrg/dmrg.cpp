@@ -109,9 +109,6 @@ real_t Dmrg::optimize_bond(int j, const SweepParams& params, bool sweep_right) {
   BlockTensor theta = engine_->contract(psi_.site(j), Role::kIntermediate,
                                         psi_.site(j + 1), Role::kIntermediate,
                                         {{2, 0}});
-  // Demanded after θ on purpose: when the previous bond prefetched this
-  // environment, the join lands here — after the theta contraction already
-  // overlapped with the in-flight extension.
   const BlockTensor& left = envs_->left(j);
   const BlockTensor& right = envs_->right(j + 2);
 
@@ -121,30 +118,16 @@ real_t Dmrg::optimize_bond(int j, const SweepParams& params, bool sweep_right) {
   energy_ = u.energy;
   trunc_err_ = u.trunc_err;
 
-  // site_changed must precede the set_site calls: it joins any in-flight
-  // prefetch, and at the sweep turn that future's worker is still reading
-  // the old tensor of this very bond (the demand path above never touches
-  // the pending node there) — mutating psi first would race with it. The
-  // invalidation cones depend only on the index, so the early flip is safe.
   envs_->site_changed(j);
   envs_->site_changed(j + 1);
   psi_.set_site(j, std::move(u.a));
   psi_.set_site(j + 1, std::move(u.b));
   psi_.set_center(sweep_right ? j + 1 : j);
-  // Refresh the environment the next bond in this direction consumes: async
-  // as a future beside the next Davidson, or eagerly — exactly the old
-  // update_left(j) / update_right(j+1) — when prefetch is off.
-  if (sweep_right) {
-    if (params.prefetch)
-      envs_->prefetch_left(j + 1);
-    else
-      (void)envs_->left(j + 1);
-  } else {
-    if (params.prefetch)
-      envs_->prefetch_right(j + 1);
-    else
-      (void)envs_->right(j + 1);
-  }
+  // Refresh the environment the next bond in this direction consumes.
+  if (sweep_right)
+    (void)envs_->left(j + 1);
+  else
+    (void)envs_->right(j + 1);
   return u.energy;
 }
 
@@ -193,7 +176,6 @@ SweepRecord Dmrg::sweep_serial_from(const SweepParams& params, int phase,
   TT_TRACE_SPAN("dmrg.sweep", rt::TraceCat::kSweep);
   Timer timer;
   const rt::CostTracker start = engine_->tracker();
-  const EnvGraph::PrefetchStats pf0 = envs_->prefetch_stats();
   max_trunc_partial_ = max_trunc0;
 
   if (phase == 0) {
@@ -209,8 +191,6 @@ SweepRecord Dmrg::sweep_serial_from(const SweepParams& params, int phase,
     max_trunc_partial_ = std::max(max_trunc_partial_, trunc_err_);
     maybe_checkpoint(params, 1, j);
   }
-  // Settle any still-flying prefetch so its cost lands in this record.
-  envs_->sync();
 
   SweepRecord rec;
   rec.sweep = ++sweep_count_;
@@ -221,10 +201,6 @@ SweepRecord Dmrg::sweep_serial_from(const SweepParams& params, int phase,
   rec.costs = engine_->tracker().diff(start);
   rec.mode = SweepMode::kSerial;
   rec.regions = 1;
-  const EnvGraph::PrefetchStats& pf = envs_->prefetch_stats();
-  rec.prefetch_launched = pf.launched - pf0.launched;
-  rec.prefetch_hits = pf.hits - pf0.hits;
-  rec.prefetch_wait_seconds = pf.wait_seconds - pf0.wait_seconds;
   records_.push_back(rec);
   return rec;
 }
@@ -257,7 +233,6 @@ real_t Dmrg::resume(const std::vector<SweepParams>& schedule) {
            "checkpoint bond " << data.pos.next_bond
                               << " out of range for this chain");
 
-  envs_->sync();  // retire any in-flight prefetch before dropping the graph
   psi_ = std::move(data.psi);
   psi_.set_center(data.pos.center);
   psi_.check_consistency();

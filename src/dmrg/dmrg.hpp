@@ -7,9 +7,9 @@
 // through the dependency graph (env_graph.hpp).
 //
 // Two sweep modes (SweepMode):
-//   kSerial    — the classic strictly-ordered bond loop. With prefetch on,
-//                the next bond's environment extension runs as a future
-//                beside Davidson; results stay bitwise identical.
+//   kSerial    — the classic strictly-ordered bond loop. Parallelism lives
+//                inside each contraction (quantum-number blocks on the
+//                support::parallel_for pool), never across bonds.
 //   kRealSpace — the chain splits into `regions` contiguous regions that
 //                optimize concurrently against frozen boundary environments
 //                (Stoudenmire–White real-space parallelism), then the
@@ -34,7 +34,7 @@ class CheckpointManager;  // dmrg/checkpoint.hpp
 
 /// How a sweep traverses the chain (see file comment).
 enum class SweepMode {
-  kSerial,     ///< strictly-ordered bond loop (optionally env-prefetched)
+  kSerial,     ///< strictly-ordered bond loop
   kRealSpace,  ///< R concurrent regions + serial boundary reconciliation
 };
 
@@ -49,7 +49,6 @@ struct SweepParams {
   int davidson_subspace = 2; ///< Davidson restart size (paper: 2)
   SweepMode mode = SweepMode::kSerial;
   int regions = 1;           ///< real-space regions; 1 reproduces the serial sweep
-  bool prefetch = false;     ///< overlap env extensions with Davidson (serial mode)
   int checkpoint_every = 0;  ///< bonds between snapshots (serial mode); 0 = off
 };
 
@@ -64,9 +63,6 @@ struct SweepRecord {
   SweepMode mode = SweepMode::kSerial;
   int regions = 1;                ///< regions actually used (after clamping)
   int boundary_bonds = 0;         ///< serially reconciled bonds (kRealSpace)
-  long prefetch_launched = 0;     ///< env extensions started asynchronously
-  long prefetch_hits = 0;         ///< joins that found the future finished
-  double prefetch_wait_seconds = 0.0;  ///< real time blocked joining futures
 };
 
 /// Split `n_sites` into `regions` contiguous [first, last] site ranges, each

@@ -1,9 +1,5 @@
 #include "dmrg/env_graph.hpp"
 
-#include <chrono>
-#include <thread>
-#include <utility>
-
 #include "dmrg/environment.hpp"
 #include "runtime/trace.hpp"
 #include "support/error.hpp"
@@ -37,17 +33,6 @@ EnvGraph::EnvGraph(ContractionEngine& eng, const mps::Mps& psi, const mps::Mpo& 
   }
 }
 
-EnvGraph::~EnvGraph() {
-  // Settle any in-flight prefetch before members it writes to are destroyed.
-  if (pf_active_) {
-    try {
-      join_pending();
-    } catch (...) {
-      // A failed prefetch has nothing left to settle.
-    }
-  }
-}
-
 const BlockTensor& EnvGraph::left(int j) { return demand(true, j); }
 const BlockTensor& EnvGraph::right(int j) { return demand(false, j); }
 
@@ -55,14 +40,10 @@ const BlockTensor& EnvGraph::demand(bool is_left, int j) {
   TT_CHECK(j >= 0 && j <= n_,
            "env " << j << " out of range (" << (is_left ? "left" : "right") << ")");
   std::vector<Node>& nodes = chain(is_left);
-  // Walk toward the boundary until a valid ancestor (a pending node joins to
-  // valid); the boundary node is always valid, so the walk terminates.
+  // Walk toward the boundary until a valid ancestor; the boundary node is
+  // always valid, so the walk terminates.
   int k = j;
   while (nodes[static_cast<std::size_t>(k)].state != NodeState::kValid) {
-    if (nodes[static_cast<std::size_t>(k)].state == NodeState::kPending) {
-      join_pending();
-      continue;  // re-check: the join settled this node
-    }
     k += is_left ? -1 : 1;
     TT_CHECK(k >= 0 && k <= n_, "environment boundary node was invalidated");
   }
@@ -76,10 +57,6 @@ const BlockTensor& EnvGraph::demand(bool is_left, int j) {
 }
 
 void EnvGraph::produce(bool is_left, int j) {
-  if (pf_active_ && pf_is_left_ == is_left && pf_node_ == j) {
-    join_pending();
-    return;
-  }
   TT_TRACE_SPAN("env.extend", rt::TraceCat::kEnv);
   std::vector<Node>& nodes = chain(is_left);
   Node& node = nodes[static_cast<std::size_t>(j)];
@@ -97,9 +74,6 @@ void EnvGraph::produce(bool is_left, int j) {
 
 void EnvGraph::site_changed(int j) {
   TT_CHECK(j >= 0 && j < n_, "site " << j << " out of range");
-  // The in-flight prefetch may target a node this invalidates; settle it
-  // first so its write cannot land after the state flip.
-  join_pending();
   for (int k = j + 1; k <= n_; ++k)
     left_[static_cast<std::size_t>(k)].state = NodeState::kInvalid;
   for (int k = 0; k <= j; ++k)
@@ -107,91 +81,11 @@ void EnvGraph::site_changed(int j) {
 }
 
 void EnvGraph::invalidate_all() {
-  join_pending();
   for (int k = 1; k <= n_; ++k)
     left_[static_cast<std::size_t>(k)].state = NodeState::kInvalid;
   for (int k = 0; k < n_; ++k)
     right_[static_cast<std::size_t>(k)].state = NodeState::kInvalid;
 }
-
-void EnvGraph::prefetch_left(int j) { prefetch(true, j); }
-void EnvGraph::prefetch_right(int j) { prefetch(false, j); }
-
-void EnvGraph::prefetch(bool is_left, int j) {
-  TT_CHECK(j >= 0 && j <= n_,
-           "env " << j << " out of range (" << (is_left ? "left" : "right") << ")");
-  join_pending();  // at most one future in flight
-  std::vector<Node>& nodes = chain(is_left);
-  Node& node = nodes[static_cast<std::size_t>(j)];
-  if (node.state != NodeState::kInvalid) return;  // nothing to do
-  const int parent = is_left ? j - 1 : j + 1;
-  if (parent < 0 || parent > n_) return;
-  if (nodes[static_cast<std::size_t>(parent)].state != NodeState::kValid)
-    return;  // prefetch computes one edge only; demand handles chain rebuilds
-  if (!pf_queue_) {
-    // Same algorithm / virtual cluster as the main engine — bit-identical
-    // tensors, comparable charged cost. Serial (the worker thread runs with
-    // in_parallel_region() set); no scheduler: ranks are not prefetch-safe.
-    pf_engine_ = make_engine(eng_.kind(), eng_.cluster(), eng_.params());
-    pf_queue_ = std::make_unique<support::TaskQueue>();
-  }
-  const int site = is_left ? j - 1 : j;
-  const BlockTensor* parent_t = &nodes[static_cast<std::size_t>(parent)].t;
-  const BlockTensor* psi_t = &psi_.site(site);
-  const BlockTensor* w_t = &h_.site(site);
-  ContractionEngine* pe = pf_engine_.get();
-  pf_result_ = BlockTensor();
-  const std::chrono::milliseconds delay = pf_test_delay_;
-  pf_future_ =
-      pf_queue_->submit([this, pe, parent_t, psi_t, w_t, is_left, delay] {
-        // Runs on the TaskQueue worker thread: its own lane in the trace,
-        // where overlap with the main thread's Davidson spans is visible.
-        rt::Trace::set_thread_label("env-prefetch");
-        TT_TRACE_SPAN("env.prefetch", rt::TraceCat::kPrefetch);
-        if (delay.count() > 0) std::this_thread::sleep_for(delay);
-        pf_result_ = is_left ? extend_left(*pe, *parent_t, *psi_t, *w_t)
-                             : extend_right(*pe, *parent_t, *psi_t, *w_t);
-      });
-  node.state = NodeState::kPending;
-  pf_active_ = true;
-  pf_is_left_ = is_left;
-  pf_node_ = j;
-  ++pf_stats_.launched;
-}
-
-void EnvGraph::join_pending() {
-  if (!pf_active_) return;
-  using clock = std::chrono::steady_clock;
-  if (pf_future_.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-    ++pf_stats_.hits;
-  } else {
-    ++pf_stats_.misses;
-    TT_TRACE_SPAN("env.prefetch_wait", rt::TraceCat::kPrefetch);
-    const auto t0 = clock::now();
-    pf_future_.wait();
-    pf_stats_.wait_seconds +=
-        std::chrono::duration<double>(clock::now() - t0).count();
-  }
-  Node& node = chain(pf_is_left_)[static_cast<std::size_t>(pf_node_)];
-  pf_active_ = false;
-  pf_node_ = -1;
-  node.state = NodeState::kInvalid;  // stays invalid if get() throws
-  pf_future_.get();
-  node.t = std::move(pf_result_);
-  node.state = NodeState::kValid;
-  // Fold the prefetch engine's charges into the main tracker: simulated time
-  // lands in the dedicated prefetch slot (overlap stays visible in the
-  // breakdown), raw BSP quantities add up exactly as if the extension had
-  // run on the main engine.
-  rt::CostTracker d = pf_engine_->tracker();
-  pf_engine_->tracker().reset();
-  eng_.tracker().add_time(rt::Category::kPrefetch, d.total_time());
-  eng_.tracker().add_flops(d.flops());
-  eng_.tracker().add_words(d.words());
-  eng_.tracker().add_supersteps(d.supersteps());
-}
-
-void EnvGraph::sync() { join_pending(); }
 
 EnvGraph::NodeState EnvGraph::left_state(int j) const {
   TT_CHECK(j >= 0 && j <= n_, "left env " << j << " out of range");

@@ -1,4 +1,4 @@
-// The environment dependency graph (sweep pipelining layer).
+// The environment dependency graph.
 //
 // Every left/right environment of a site is an explicit node:
 //
@@ -13,27 +13,13 @@
 // invalid node is recomputed on the spot from its nearest valid ancestor
 // through the main engine, so consumers never see a stale environment and
 // never issue hand-ordered update calls.
-//
-// The graph structure is what makes pipelining safe: the next bond's
-// environment extension depends only on tensors the current Davidson
-// iteration will not touch, so it can be prefetched as a future on a
-// support::TaskQueue worker while Davidson iterates. Prefetched work runs on
-// a private engine of the same kind/cluster; its cost is folded into the
-// main tracker under rt::Category::kPrefetch at join time — overlap is
-// measurable, never hidden. At most one prefetch is in flight, and every
-// graph mutation joins it first, so demanded values are bitwise identical
-// with prefetch on or off.
 #pragma once
 
-#include <chrono>
-#include <future>
-#include <memory>
 #include <vector>
 
 #include "dmrg/engine.hpp"
 #include "mps/mpo.hpp"
 #include "mps/mps.hpp"
-#include "support/thread_pool.hpp"
 
 namespace tt::dmrg {
 
@@ -43,15 +29,6 @@ class EnvGraph {
   enum class NodeState {
     kInvalid,  ///< cone contains a changed site; recomputed on demand
     kValid,    ///< tensor matches the current state of psi
-    kPending,  ///< a prefetch future is computing it
-  };
-
-  /// Prefetch effectiveness counters (cumulative; diff across a sweep).
-  struct PrefetchStats {
-    long launched = 0;       ///< futures submitted
-    long hits = 0;           ///< joins that found the future already finished
-    long misses = 0;         ///< joins that had to block on the worker
-    double wait_seconds = 0.0;  ///< real time the demanding thread blocked
   };
 
   /// Builds every interior node eagerly (the classic stack construction).
@@ -61,7 +38,6 @@ class EnvGraph {
   /// only the target engine.
   EnvGraph(ContractionEngine& eng, const mps::Mps& psi, const mps::Mpo& h,
            ContractionEngine* builder = nullptr);
-  ~EnvGraph();
 
   EnvGraph(const EnvGraph&) = delete;
   EnvGraph& operator=(const EnvGraph&) = delete;
@@ -73,37 +49,13 @@ class EnvGraph {
   const symm::BlockTensor& right(int j);
 
   /// Site j's tensor changed: invalidate every node whose cone contains j.
-  /// Joins an in-flight prefetch first (its result may be among the
-  /// invalidated nodes).
   void site_changed(int j);
 
   /// Invalidate every interior node (e.g. after re-canonicalizing psi).
   void invalidate_all();
 
-  /// Launch asynchronous production of left(j) / right(j) on the prefetch
-  /// worker. No-op if the node is already valid or its parent is not (demand
-  /// would have to rebuild a chain; prefetch only ever computes one edge).
-  /// The next access joins the future; costs are folded into the main
-  /// engine's tracker under rt::Category::kPrefetch.
-  void prefetch_left(int j);
-  void prefetch_right(int j);
-
-  /// Join any in-flight prefetch (fold its cost, settle its node). Call
-  /// before reading the main tracker so no charged work is still in flight.
-  void sync();
-
   NodeState left_state(int j) const;
   NodeState right_state(int j) const;
-
-  const PrefetchStats& prefetch_stats() const { return pf_stats_; }
-
-  /// Test seam: sleep injected in the worker before each prefetched
-  /// extension. Widens the in-flight window so that a mutation racing the
-  /// worker (e.g. at the sweep turn) is deterministically observable under
-  /// TSan instead of depending on scheduling luck. Zero (default) is a no-op.
-  void set_prefetch_delay_for_testing(std::chrono::milliseconds d) {
-    pf_test_delay_ = d;
-  }
 
   int size() const { return n_; }
 
@@ -114,9 +66,7 @@ class EnvGraph {
   };
 
   const symm::BlockTensor& demand(bool is_left, int j);
-  void produce(bool is_left, int j);           // one edge, main engine
-  void prefetch(bool is_left, int j);
-  void join_pending();                         // wait + fold + settle
+  void produce(bool is_left, int j);  // one edge, main engine
   std::vector<Node>& chain(bool is_left) { return is_left ? left_ : right_; }
 
   ContractionEngine& eng_;
@@ -125,18 +75,6 @@ class EnvGraph {
   int n_ = 0;
   std::vector<Node> left_;   // left_[j] covers sites < j
   std::vector<Node> right_;  // right_[j] covers sites >= j
-
-  // Prefetch executor (lazily created on first prefetch_*). One future in
-  // flight at a time; pending_* identify the node it will settle.
-  std::unique_ptr<ContractionEngine> pf_engine_;
-  std::unique_ptr<support::TaskQueue> pf_queue_;
-  std::future<void> pf_future_;
-  symm::BlockTensor pf_result_;  // written by the worker, moved out at join
-  bool pf_active_ = false;
-  bool pf_is_left_ = false;
-  int pf_node_ = -1;
-  PrefetchStats pf_stats_;
-  std::chrono::milliseconds pf_test_delay_{0};
 };
 
 }  // namespace tt::dmrg

@@ -142,9 +142,6 @@ SweepRecord Dmrg::sweep_realspace(const SweepParams& params) {
   const int R = static_cast<int>(regions.size());
 
   // Global B gauge: center at site 0, every other site right-orthonormal.
-  // invalidate_all first: it joins any in-flight prefetch (a caller may have
-  // left one flying via optimize_bond) before canonicalize rewrites the site
-  // tensors the worker could still be reading.
   envs_->invalidate_all();
   psi_.canonicalize(0);
   psi_.normalize();
@@ -229,17 +226,16 @@ SweepRecord Dmrg::sweep_realspace(const SweepParams& params) {
   SweepParams serial = params;
   serial.mode = SweepMode::kSerial;
   serial.regions = 1;
-  serial.prefetch = false;
   for (int r = 0; r + 1 < R; ++r) {
     const int b = regions[static_cast<std::size_t>(r)].second;
-    envs_->invalidate_all();  // join before canonicalize mutates psi
+    envs_->invalidate_all();
     psi_.canonicalize(b);
     psi_.normalize();
     optimize_bond(b, serial, /*sweep_right=*/true);
     max_trunc = std::max(max_trunc, trunc_err_);
   }
 
-  envs_->invalidate_all();  // join before canonicalize mutates psi
+  envs_->invalidate_all();
   psi_.canonicalize(0);
   psi_.normalize();
   energy_ = energy_expectation();

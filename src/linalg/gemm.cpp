@@ -12,8 +12,6 @@ namespace tt::linalg {
 
 namespace {
 
-using support::openmp_allowed;
-
 // Half-open range overlap on raw addresses (std::uintptr_t: comparing
 // unrelated pointers directly is unspecified).
 bool ranges_overlap(const real_t* a, index_t na, const real_t* b, index_t nb) {
@@ -31,20 +29,25 @@ bool ranges_overlap(const real_t* a, index_t na, const real_t* b, index_t nb) {
 
 // --- packed-panel, register-tiled GEMM ---------------------------------------
 //
-// BLIS-style blocking: for each (jc, pc) block, op(B) is packed once into
-// kNr-wide strips; kMc-row panels of op(A) are packed into kMr-tall strips
-// (alpha folded in) and swept by a kMr×kNr register-tile micro-kernel. The
-// packing reads op(A)/op(B) through their physical layout, so transposed
-// operands cost nothing extra — no transpose is ever materialized.
+// BLIS-style blocking: for each kKc block of k, op(B) is packed once into
+// kNr-wide strips; then each C tile (at most kMc rows × kNt columns) packs its
+// row panel of op(A) into kMr-tall strips (alpha folded in) and sweeps it with
+// a kMr×kNr register-tile micro-kernel. The packing reads op(A)/op(B) through
+// their physical layout, so transposed operands cost nothing extra — no
+// transpose is ever materialized.
 //
-// Threads split the ic panel loop (disjoint C rows) while the pc loop stays
-// sequential, so every C element accumulates its k contributions in one fixed
-// order: results are bitwise identical at any thread count.
+// Tiles write disjoint parts of C and the k blocks run in order, so every C
+// element accumulates its k contributions in one fixed order: results are
+// bitwise identical whether the tiles run serially or on the pool at any
+// thread count.
 constexpr index_t kMr = 4;     // register tile rows
 constexpr index_t kNr = 8;     // register tile cols (one or two vector widths)
 constexpr index_t kMc = 128;   // A panel rows   (A panel: kMc×kKc = 256 KB)
 constexpr index_t kKc = 256;   // shared k block
-constexpr index_t kNc = 2048;  // B panel cols   (B panel: kKc×kNc ≤ 4 MB)
+constexpr index_t kNt = 256;   // C tile cols    (B strips per tile: 512 KB)
+// m·n·k above which the tile loop runs on the pool; below it the dispatch
+// costs more than the split saves.
+constexpr index_t kParallelMinVolume = index_t{1} << 21;
 
 index_t round_up(index_t x, index_t q) { return (x + q - 1) / q * q; }
 
@@ -89,52 +92,42 @@ void micro_kernel(index_t kc, const real_t* __restrict ap,
 }
 
 // C += alpha·op(A)·op(B) for non-degenerate shapes (beta already applied).
-// Each (jc, pc) block runs three phases — pack B strips, pack A strips,
-// sweep (panel × column-strip) tiles — every one parallel over disjoint
-// writes, so parallelism scales with max(m/4, n/8, m·n/1024) rather than
-// m/128 alone, and results stay bitwise identical at any thread count.
+// Serial below kParallelMinVolume, at one thread, and inside a pool region
+// (e.g. a contraction bin): the tile loop is then a plain loop.
 void gemm_packed(bool transa, bool transb, index_t m, index_t n, index_t k,
                  real_t alpha, const real_t* a, const real_t* b, real_t* c) {
-  const index_t kc_max = std::min(kKc, k);
+  const index_t num_bstrips = (n + kNr - 1) / kNr;
   std::vector<real_t> bpack(
-      static_cast<std::size_t>(round_up(std::min(kNc, n), kNr) * kc_max));
-  std::vector<real_t> apack(static_cast<std::size_t>(round_up(m, kMr) * kc_max));
-  const index_t num_panels = (m + kMc - 1) / kMc;
-  const index_t num_astrips = (m + kMr - 1) / kMr;
-  [[maybe_unused]] const bool parallel =
-      m * n * k > (index_t{1} << 16) && openmp_allowed();
-  for (index_t jc = 0; jc < n; jc += kNc) {
-    const index_t nc = std::min(kNc, n - jc);
-    const index_t num_bstrips = (nc + kNr - 1) / kNr;
-    for (index_t pc = 0; pc < k; pc += kKc) {
-      const index_t kc = std::min(kKc, k - pc);
-#pragma omp parallel for schedule(static) if (parallel)
-      for (index_t s = 0; s < num_bstrips; ++s)
-        pack_b_strip(transb, b, k, n, pc, jc + s * kNr,
-                     std::min(kNr, nc - s * kNr), kc,
-                     bpack.data() + s * kc * kNr);
-#pragma omp parallel for schedule(static) if (parallel)
-      for (index_t s = 0; s < num_astrips; ++s)
-        pack_a_strip(transa, a, m, k, s * kMr, std::min(kMr, m - s * kMr), pc,
-                     kc, alpha, apack.data() + s * kc * kMr);
-      // One tile = one C row panel × one packed B strip, column-strip-minor:
-      // consecutive tiles reuse the same A panel (the L2-resident object)
-      // and stream the small B strips past it.
-      const index_t tiles = num_panels * num_bstrips;
-#pragma omp parallel for schedule(dynamic, 1) if (parallel)
-      for (index_t t = 0; t < tiles; ++t) {
-        const index_t panel = t / num_bstrips;
-        const index_t js = t % num_bstrips;
-        const index_t ic = panel * kMc;
-        const index_t mc = std::min(kMc, m - ic);
-        const index_t jr = js * kNr;
-        const index_t nb = std::min(kNr, nc - jr);
-        const real_t* bs = bpack.data() + js * kc * kNr;
+      static_cast<std::size_t>(num_bstrips * kNr * std::min(kKc, k)));
+  const index_t col_tiles = (n + kNt - 1) / kNt;
+  const index_t tiles = (m + kMc - 1) / kMc * col_tiles;
+  const bool parallel = tiles > 1 && m * n * k > kParallelMinVolume &&
+                        support::num_threads() > 1 && !support::in_parallel_region();
+  for (index_t pc = 0; pc < k; pc += kKc) {
+    const index_t kc = std::min(kKc, k - pc);
+    for (index_t s = 0; s < num_bstrips; ++s)
+      pack_b_strip(transb, b, k, n, pc, s * kNr, std::min(kNr, n - s * kNr), kc,
+                   bpack.data() + s * kc * kNr);
+    // One tile = one C row panel × kNt columns. The A panel stays
+    // cache-resident while the tile's B strips stream past it.
+    auto tile = [&](index_t t) {
+      const index_t ic = t / col_tiles * kMc;
+      const index_t mc = std::min(kMc, m - ic);
+      const index_t jt = t % col_tiles * kNt;
+      std::vector<real_t> apack(static_cast<std::size_t>(round_up(mc, kMr) * kc));
+      for (index_t ir = 0; ir < mc; ir += kMr)
+        pack_a_strip(transa, a, m, k, ic + ir, std::min(kMr, mc - ir), pc, kc,
+                     alpha, apack.data() + ir * kc);
+      for (index_t jr = jt; jr < std::min(n, jt + kNt); jr += kNr)
         for (index_t ir = 0; ir < mc; ir += kMr)
-          micro_kernel(kc, apack.data() + ((ic + ir) / kMr) * kc * kMr, bs,
-                       c + (ic + ir) * n + jc + jr, n, std::min(kMr, mc - ir),
-                       nb);
-      }
+          micro_kernel(kc, apack.data() + ir * kc, bpack.data() + jr * kc,
+                       c + (ic + ir) * n + jr, n, std::min(kMr, mc - ir),
+                       std::min(kNr, n - jr));
+    };
+    if (parallel) {
+      support::parallel_for(tiles, tile);
+    } else {
+      for (index_t t = 0; t < tiles; ++t) tile(t);
     }
   }
 }
@@ -145,7 +138,6 @@ void scale_inplace(real_t* c, index_t count, real_t beta) {
     std::memset(c, 0, static_cast<std::size_t>(count) * sizeof(real_t));
     return;
   }
-#pragma omp parallel for schedule(static) if (count > (index_t{1} << 16) && openmp_allowed())
   for (index_t i = 0; i < count; ++i) c[i] *= beta;
 }
 
@@ -163,7 +155,6 @@ void builtin_gemm(bool transa, bool transb, index_t m, index_t n, index_t k,
 
 void builtin_gemv(index_t m, index_t n, real_t alpha, const real_t* a,
                   const real_t* x, real_t beta, real_t* y) {
-#pragma omp parallel for schedule(static) if (m * n > (index_t{1} << 16) && openmp_allowed())
   for (index_t i = 0; i < m; ++i) {
     real_t s = 0.0;
     const real_t* ai = a + i * n;

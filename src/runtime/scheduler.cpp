@@ -115,7 +115,7 @@ std::vector<std::byte> run_task(const WorkerTask& task) {
       [&](index_t i) {
         done[static_cast<std::size_t>(i)] =
             symm::execute_bin(task.bins[static_cast<std::size_t>(i)], task.spec,
-                              task.collect_ops, nullptr);
+                              task.collect_ops);
       },
       task.threads);
   const double busy_seconds = busy.seconds();
@@ -478,7 +478,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
         static_cast<index_t>(mine.size()),
         [&](index_t i) {
           const std::size_t g = mine[static_cast<std::size_t>(i)];
-          done[g] = symm::execute_bin(bins[g], plan.spec, collect_ops, nullptr);
+          done[g] = symm::execute_bin(bins[g], plan.spec, collect_ops);
         },
         opts_.root_threads);
     d.ranks[0].busy_seconds = busy.seconds();
@@ -597,7 +597,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
           static_cast<index_t>(makeup.size()),
           [&](index_t i) {
             const std::size_t g = makeup[static_cast<std::size_t>(i)];
-            done[g] = symm::execute_bin(bins[g], plan.spec, collect_ops, nullptr);
+            done[g] = symm::execute_bin(bins[g], plan.spec, collect_ops);
           },
           opts_.root_threads);
       d.recovery_seconds += rec.seconds();

@@ -25,7 +25,6 @@ const char* trace_cat_name(TraceCat c) {
     case TraceCat::kSvd: return "svd";
     case TraceCat::kContract: return "contract";
     case TraceCat::kComm: return "comm";
-    case TraceCat::kPrefetch: return "prefetch";
     case TraceCat::kScheduler: return "scheduler";
     case TraceCat::kRecovery: return "recovery";
     case TraceCat::kEnv: return "env";

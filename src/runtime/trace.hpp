@@ -1,7 +1,7 @@
 // Low-overhead cross-rank span/counter tracer with Chrome trace-event export.
 //
 // The tracer answers the question the per-category CostTracker cannot: *when*
-// did Davidson, environment prefetch, rank communication, and recovery run
+// did Davidson, environment extension, rank communication, and recovery run
 // relative to each other? Spans are recorded into per-thread buffers (one
 // registration mutex hit per thread lifetime, lock-free recording afterwards)
 // and exported as Chrome trace-event JSON loadable in Perfetto or
@@ -10,7 +10,7 @@
 //   pid  = scheduler rank (0 = root process / root-side threads)
 //   tid  = per-thread ordinal within that rank, named via metadata events
 //          (tid 0 is the thread that recorded first — the main thread in
-//          practice; pool workers and the prefetch worker get their own lanes)
+//          practice; pool workers get their own lanes)
 //
 // Rank merging: thread-mode scheduler workers share the process-wide tracer
 // and are tagged per-thread (set_thread_rank); fork()ed process-mode workers
@@ -44,13 +44,12 @@ enum class TraceCat : int {
   kSvd = 2,        ///< truncated block SVD
   kContract = 3,   ///< block contraction executor (bins)
   kComm = 4,       ///< transport frames (wire send/recv)
-  kPrefetch = 5,   ///< async environment extension on the prefetch worker
-  kScheduler = 6,  ///< rank scheduler phases (ship/gather/makeup)
-  kRecovery = 7,   ///< fault healing: makeup execution, respawns
-  kEnv = 8,        ///< eager environment production
-  kOther = 9,      ///< keep last (mirrors rt::Category::kOther convention)
+  kScheduler = 5,  ///< rank scheduler phases (ship/gather/makeup)
+  kRecovery = 6,   ///< fault healing: makeup execution, respawns
+  kEnv = 7,        ///< environment production
+  kOther = 8,      ///< keep last (mirrors rt::Category::kOther convention)
 };
-constexpr int kNumTraceCats = 10;
+constexpr int kNumTraceCats = 9;
 
 const char* trace_cat_name(TraceCat c);
 

@@ -12,20 +12,12 @@ namespace tt::support {
 namespace {
 
 thread_local bool tl_in_region = false;
-thread_local int tl_slot = 0;
 
 std::atomic<int> g_override{0};
-std::atomic<bool> g_omp_suppressed{false};
 
 }  // namespace
 
 bool in_parallel_region() { return tl_in_region; }
-
-bool openmp_allowed() {
-  return !tl_in_region && !g_omp_suppressed.load(std::memory_order_relaxed);
-}
-
-int execution_slot() { return tl_slot; }
 
 // One parallel_for in flight: per-participant iteration ranges with atomic
 // cursors (the steal targets), plus completion and error state.
@@ -91,7 +83,6 @@ void ThreadPool::worker_main() {
 
 void ThreadPool::run_participant(Loop& loop, int slot) {
   tl_in_region = true;
-  tl_slot = slot;
   const int nslots = static_cast<int>(loop.slots.size());
   try {
     int victim = slot;  // start with our own range, then steal
@@ -120,7 +111,6 @@ void ThreadPool::run_participant(Loop& loop, int slot) {
   } catch (...) {
     loop.record_error(std::current_exception());
   }
-  tl_slot = 0;
   tl_in_region = false;
   loop.finish_participant();
 }
@@ -210,9 +200,7 @@ void notify_fork_child() {
   // been captured mid-acquisition by a parent thread that no longer exists.
   for (auto& p : g_pools) (void)p.release();
   g_pools.clear();
-  g_omp_suppressed.store(true, std::memory_order_relaxed);
   tl_in_region = false;
-  tl_slot = 0;
 }
 
 void parallel_for(index_t n, const std::function<void(index_t)>& body,
@@ -224,45 +212,6 @@ void parallel_for(index_t n, const std::function<void(index_t)>& body,
     return;
   }
   global_pool(threads - 1).parallel_for(n, threads, body);
-}
-
-TaskQueue::TaskQueue() : thread_([this] { worker_main(); }) {}
-
-TaskQueue::~TaskQueue() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-}
-
-std::future<void> TaskQueue::submit(std::function<void()> fn) {
-  std::packaged_task<void()> task(std::move(fn));
-  std::future<void> fut = task.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    TT_CHECK(!stop_, "submit on a stopped TaskQueue");
-    tasks_.push_back(std::move(task));
-  }
-  cv_.notify_one();
-  return fut;
-}
-
-void TaskQueue::worker_main() {
-  // Everything a task runs nests inline on this thread (see class comment).
-  tl_in_region = true;
-  for (;;) {
-    std::packaged_task<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // stop requested and queue drained
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
-    }
-    task();  // packaged_task captures exceptions into the future
-  }
 }
 
 }  // namespace tt::support

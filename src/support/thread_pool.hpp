@@ -1,4 +1,4 @@
-// Shared work-stealing thread pool for intra-node parallelism.
+// Shared work-stealing thread pool: the library's one executor.
 //
 // The pool executes index-space loops: parallel_for(n, body) splits [0, n)
 // into one contiguous range per participating thread; each participant drains
@@ -7,20 +7,22 @@
 // with dynamic placement — callers must not depend on which thread runs which
 // index, only that disjoint indices may run concurrently.
 //
-// Thread count resolution (the TT_THREADS knob):
+// Every parallel loop in the library runs here: block-contraction bins,
+// block-SVD groups, scheduler worker tasks, real-space regions and the packed
+// GEMM's tile loop.
+// Everything else is a plain serial loop. The thread count is therefore the
+// one setting that governs the cores (the TT_THREADS knob):
 //   1. set_num_threads(n) override, when set (tests/benches),
 //   2. the TT_THREADS environment variable (>= 1), read once,
 //   3. std::thread::hardware_concurrency().
 //
-// Kernels that carry their own OpenMP pragmas consult in_parallel_region()
-// in their `if` clauses so that pool workers never spawn nested OpenMP teams
-// (which would oversubscribe the machine and break wall-time accounting).
+// Nested loops run inline: a parallel_for issued from inside a region (e.g. a
+// GEMM inside a contraction bin) executes serially on the calling thread, so
+// the machine is never oversubscribed.
 #pragma once
 
 #include <condition_variable>
-#include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -34,27 +36,12 @@ namespace tt::support {
 /// (worker or participating caller). Used to suppress nested parallelism.
 bool in_parallel_region();
 
-/// For OpenMP `if` clauses in kernels: true when the kernel may open its own
-/// OpenMP team, i.e. the caller is not inside a pool region and the process
-/// has not been marked OpenMP-unsafe (forked scheduler workers — see
-/// notify_fork_child()). One definition of the suppression policy for all
-/// kernel files.
-bool openmp_allowed();
-
 /// Must be the first tt call in a freshly fork()ed child process. The child
 /// inherits pool objects whose worker threads do not exist on its side of the
-/// fork (joining or scheduling onto them would hang), and a libgomp runtime
-/// whose team state is not fork-safe. This call abandons every inherited pool
-/// (deliberately leaked — their destructors would join ghost threads) and
-/// permanently suppresses OpenMP regions in this process; fresh pools are
-/// created on demand by the next parallel_for.
+/// fork (joining or scheduling onto them would hang). This call abandons every
+/// inherited pool (deliberately leaked — their destructors would join ghost
+/// threads); fresh pools are created on demand by the next parallel_for.
 void notify_fork_child();
-
-/// Slot index of the calling participant within the innermost active
-/// parallel_for, in [0, participants); 0 outside any parallel region. Stable
-/// for the duration of one body invocation — the natural shard index for
-/// per-thread accumulators (see rt::CostTrackerShards).
-int execution_slot();
 
 /// A pool of background worker threads executing stealable index loops.
 /// One loop runs at a time per pool; concurrent callers are serialized.
@@ -103,40 +90,5 @@ void set_num_threads(int n);
 /// the resolved count is 1, n <= 1, or the caller is already inside a region.
 void parallel_for(index_t n, const std::function<void(index_t)>& body,
                   int threads = 0);
-
-/// Single background worker draining submitted tasks in FIFO order — the
-/// async executor behind environment prefetch (dmrg::EnvGraph): the pool's
-/// parallel_for is a synchronous fork-join primitive and cannot overlap work
-/// with its caller, so tasks that must run *beside* the main thread live here.
-///
-/// Tasks execute with in_parallel_region() set on the worker, so any
-/// parallel_for or OpenMP kernel a task reaches runs inline on the worker
-/// thread: the submitting thread keeps the pool, the task costs one core, and
-/// neither side oversubscribes the machine.
-///
-/// Not fork-safe: like ThreadPool, the worker does not survive fork() —
-/// construct after any rt::Scheduler process spawning, or not at all in
-/// forked children.
-class TaskQueue {
- public:
-  TaskQueue();
-  ~TaskQueue();  // drains the queue, then joins the worker
-
-  TaskQueue(const TaskQueue&) = delete;
-  TaskQueue& operator=(const TaskQueue&) = delete;
-
-  /// Enqueue `fn`; the future becomes ready when it finished (exceptions are
-  /// captured and rethrown from future::get()).
-  std::future<void> submit(std::function<void()> fn);
-
- private:
-  void worker_main();
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<std::packaged_task<void()>> tasks_;
-  bool stop_ = false;
-  std::thread thread_;
-};
 
 }  // namespace tt::support

@@ -4,11 +4,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "support/thread_pool.hpp"
-
 namespace tt::tensor {
-
-using support::openmp_allowed;
 
 DenseTensor::DenseTensor(std::vector<index_t> shape, real_t fill)
     : shape_(std::move(shape)) {
@@ -87,15 +83,12 @@ void DenseTensor::scale(real_t s) {
 void DenseTensor::axpy(real_t alpha, const DenseTensor& other) {
   TT_CHECK(shape_ == other.shape_, "axpy shape mismatch");
   const std::size_t n = data_.size();
-#pragma omp parallel for schedule(static) if (n > (std::size_t{1} << 16) && openmp_allowed())
   for (std::size_t i = 0; i < n; ++i) data_[i] += alpha * other.data_[i];
 }
 
 real_t DenseTensor::norm2() const {
   real_t s = 0.0;
   const std::size_t n = data_.size();
-#pragma omp parallel for schedule(static) reduction(+ : s) \
-    if (n > (std::size_t{1} << 16) && openmp_allowed())
   for (std::size_t i = 0; i < n; ++i) s += data_[i] * data_[i];
   return std::sqrt(s);
 }
@@ -110,8 +103,6 @@ real_t dot(const DenseTensor& a, const DenseTensor& b) {
   TT_CHECK(a.shape() == b.shape(), "dot shape mismatch");
   real_t s = 0.0;
   const index_t n = a.size();
-#pragma omp parallel for schedule(static) reduction(+ : s) \
-    if (n > (index_t{1} << 16) && openmp_allowed())
   for (index_t i = 0; i < n; ++i) s += a[i] * b[i];
   return s;
 }
@@ -174,7 +165,6 @@ void permute_into(const DenseTensor& in, std::span<const int> perm,
   const index_t last_stride = src_stride[static_cast<std::size_t>(r - 1)];
   const index_t last_dim = out_shape[static_cast<std::size_t>(r - 1)];
 
-#pragma omp parallel for schedule(static) if (in.size() > (index_t{1} << 16) && openmp_allowed())
   for (index_t i0 = 0; i0 < d0; ++i0) {
     std::vector<index_t> odo(static_cast<std::size_t>(r), 0);
     odo[0] = i0;

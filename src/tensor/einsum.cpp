@@ -5,17 +5,10 @@
 #include <unordered_map>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "linalg/gemm.hpp"
 #include "support/error.hpp"
-#include "support/thread_pool.hpp"
 
 namespace tt::tensor {
-
-using support::openmp_allowed;
 
 namespace {
 
@@ -338,55 +331,26 @@ SparseTensor einsum_ss(const std::string& spec_str, const SparseTensor& a,
 
   SparseTensor out(c_shape);
   double flops = 0.0;
-#ifdef _OPENMP
-  const int nthreads = omp_get_max_threads();
-#else
-  const int nthreads = 1;
-#endif
   // tt-lint: allow(ordered-iteration) accumulator only; drained below via a flat-sorted vector, never iterated in hash order
-  std::vector<std::unordered_map<index_t, real_t>> partial(
-      static_cast<std::size_t>(nthreads));
-  std::vector<double> partial_flops(static_cast<std::size_t>(nthreads), 0.0);
-
-// schedule(static), not dynamic: the group→thread assignment decides which
-// per-thread map each contribution lands in, and therefore the order
-// duplicates merge in below. Static chunking makes that assignment a pure
-// function of (groups.size(), nthreads), so results are bitwise reproducible
-// run to run.
-#pragma omp parallel for schedule(static) if (groups.size() > 16 && openmp_allowed())
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-#ifdef _OPENMP
-    auto& acc = partial[static_cast<std::size_t>(omp_get_thread_num())];
-    auto& fl = partial_flops[static_cast<std::size_t>(omp_get_thread_num())];
-#else
-    auto& acc = partial[0];
-    auto& fl = partial_flops[0];
-#endif
-    const Group& gr = groups[g];
+  std::unordered_map<index_t, real_t> acc;
+  for (const Group& gr : groups) {
     for (std::size_t ia = gr.a0; ia < gr.a1; ++ia) {
       for (std::size_t ib = gr.b0; ib < gr.b1; ++ib) {
         const index_t flat = ea[ia].contrib + eb[ib].contrib;
         if (out_mask && !out_mask->contains(flat)) continue;
         acc[flat] += ea[ia].val * eb[ib].val;
-        fl += 2.0;
+        flops += 2.0;
       }
     }
   }
-  // Drain each thread's accumulator in ascending flat order, threads in rank
-  // order: iterating the unordered_map directly would feed out.add() in
-  // hash-dependent order, and SparseTensor::finalize sums duplicate flats in
-  // insertion order — hash order leaking in here is exactly the
-  // nondeterminism the ordered-iteration lint rule exists to catch.
-  std::vector<std::pair<index_t, real_t>> drain;
-  for (int t = 0; t < nthreads; ++t) {
-    // tt-lint: allow(ordered-iteration) copied out then sorted by flat index before any order-sensitive use
-    drain.assign(partial[static_cast<std::size_t>(t)].cbegin(),
-                 partial[static_cast<std::size_t>(t)].cend());
-    std::sort(drain.begin(), drain.end(),
-              [](const auto& x, const auto& y) { return x.first < y.first; });
-    for (const auto& [flat, v] : drain) out.add(flat, v);
-    flops += partial_flops[static_cast<std::size_t>(t)];
-  }
+  // Drain in ascending flat order: iterating the unordered_map directly would
+  // feed out.add() in hash-dependent order — exactly the nondeterminism the
+  // ordered-iteration lint rule exists to catch.
+  // tt-lint: allow(ordered-iteration) copied out then sorted by flat index before any order-sensitive use
+  std::vector<std::pair<index_t, real_t>> drain(acc.cbegin(), acc.cend());
+  std::sort(drain.begin(), drain.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  for (const auto& [flat, v] : drain) out.add(flat, v);
   out.finalize();
   if (stats) {
     stats->flops += flops;
@@ -434,7 +398,7 @@ DenseTensor einsum_sd(const std::string& spec_str, const SparseTensor& a,
   std::sort(es.begin(), es.end(), [](const Entry& x, const Entry& y) {
     return x.row < y.row || (x.row == y.row && x.key < y.key);
   });
-  // Row group boundaries for conflict-free parallel accumulation.
+  // Row group boundaries: each group accumulates into one output row.
   std::vector<std::size_t> starts;
   for (std::size_t i = 0; i < es.size(); ++i)
     if (i == 0 || es[i].row != es[i - 1].row) starts.push_back(i);
@@ -444,8 +408,6 @@ DenseTensor einsum_sd(const std::string& spec_str, const SparseTensor& a,
   const index_t n = p.n;
   double flops = 0.0;
   const std::size_t ngroups = starts.empty() ? 0 : starts.size() - 1;
-#pragma omp parallel for schedule(dynamic, 4) reduction(+ : flops) \
-    if (ngroups > 8 && tmp.size() > (index_t{1} << 14) && openmp_allowed())
   for (std::size_t gi = 0; gi < ngroups; ++gi) {
     real_t* crow = tmp.data() + es[starts[gi]].row * n;
     for (std::size_t e = starts[gi]; e < starts[gi + 1]; ++e) {
@@ -520,8 +482,6 @@ DenseTensor einsum_ds(const std::string& spec_str, const DenseTensor& a,
   DenseTensor tmp(p.tmp_shape);
   const index_t m = p.m, n = p.n, k = p.k;
   double flops = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : flops) \
-    if (m > 4 && static_cast<double>(m) * static_cast<double>(es.size()) > 1e5 && openmp_allowed())
   for (index_t r = 0; r < m; ++r) {
     const real_t* arow = apm->data() + r * k;
     real_t* crow = tmp.data() + r * n;

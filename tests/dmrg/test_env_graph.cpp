@@ -106,63 +106,4 @@ TEST(EnvGraph, IncrementalMatchesRebuildUnderRandomPerturbations) {
   }
 }
 
-TEST(EnvGraph, PrefetchMatchesDemandBitwise) {
-  Fixture f;
-  EnvGraph eager(*f.eng, f.psi, f.h);
-  auto eng2 = tt::dmrg::make_engine(tt::dmrg::EngineKind::kReference,
-                                    {tt::rt::localhost(), 1, 1});
-  EnvGraph pre(*eng2, f.psi, f.h);
-
-  // Same invalidation on both; one demands, one prefetches then joins.
-  eager.site_changed(3);
-  pre.site_changed(3);
-  const tt::rt::CostTracker t0 = f.eng->tracker();
-  const BlockTensor& want = eager.left(4);
-
-  pre.prefetch_left(4);
-  EXPECT_EQ(pre.left_state(4), EnvGraph::NodeState::kPending);
-  const BlockTensor& got = pre.left(4);  // joins the future
-  EXPECT_EQ(tt::symm::max_abs_diff(got, want), 0.0);
-  EXPECT_EQ(pre.left_state(4), EnvGraph::NodeState::kValid);
-
-  // Effectiveness counters and cost accounting: the charged flops match the
-  // eager demand exactly; the simulated time lands in the prefetch slot.
-  const EnvGraph::PrefetchStats& st = pre.prefetch_stats();
-  EXPECT_EQ(st.launched, 1);
-  EXPECT_EQ(st.hits + st.misses, 1);
-  const tt::rt::CostTracker eager_cost = f.eng->tracker().diff(t0);
-  EXPECT_EQ(eng2->tracker().flops(), f.eng->tracker().flops());
-  // diff() re-sums per-category times, so allow last-bit rounding slack.
-  EXPECT_NEAR(eng2->tracker().time(tt::rt::Category::kPrefetch),
-              eager_cost.total_time(), 1e-12);
-  EXPECT_GT(eng2->tracker().time(tt::rt::Category::kPrefetch), 0.0);
-}
-
-TEST(EnvGraph, PrefetchSurvivesInvalidationRaces) {
-  // A prefetch whose target is invalidated before the join must neither leak
-  // nor poison later demands.
-  Fixture f;
-  EnvGraph g(*f.eng, f.psi, f.h);
-  Rng rng(5);
-  g.site_changed(2);
-  g.prefetch_left(3);
-  // Invalidate the pending node: site_changed joins the future before the
-  // state flip, so no stale write can land afterwards. Only then is the site
-  // safe to mutate (the worker reads it while the future is in flight).
-  g.site_changed(2);
-  BlockTensor& site = f.psi.site(2);
-  BlockTensor noise = BlockTensor::random(site.indices(), site.flux(), rng);
-  site.axpy(0.25, noise);
-  g.site_changed(2);
-  EXPECT_EQ(tt::symm::max_abs_diff(g.left(3), f.rebuild_left(3)), 0.0);
-  // And an abandoned in-flight prefetch is settled by sync(). Prefetch only
-  // computes one edge off a valid parent, so validate left(4) first.
-  g.site_changed(4);
-  (void)g.left(4);
-  g.prefetch_left(5);
-  g.sync();
-  EXPECT_EQ(g.left_state(5), EnvGraph::NodeState::kValid);
-  EXPECT_EQ(tt::symm::max_abs_diff(g.left(5), f.rebuild_left(5)), 0.0);
-}
-
 }  // namespace

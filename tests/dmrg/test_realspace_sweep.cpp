@@ -1,9 +1,8 @@
-// Real-space sweep-mode tests: regions=1 and prefetch must reproduce the
-// serial sweep bitwise at any thread count; regions>1 must converge to the
-// same ground state deterministically.
+// Real-space sweep-mode tests: regions=1 must reproduce the serial sweep
+// bitwise, the serial sweep must not depend on the thread count, and
+// regions>1 must converge to the same ground state deterministically.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <vector>
 
 #include "dmrg/dmrg.hpp"
@@ -25,13 +24,12 @@ using tt::dmrg::SweepRecord;
 tt::rt::Cluster local() { return {tt::rt::localhost(), 1, 1}; }
 
 SweepParams params_for(tt::index_t m, SweepMode mode = SweepMode::kSerial,
-                       int regions = 1, bool prefetch = false) {
+                       int regions = 1) {
   SweepParams p;
   p.max_m = m;
   p.davidson_iter = 3;
   p.mode = mode;
   p.regions = regions;
-  p.prefetch = prefetch;
   return p;
 }
 
@@ -99,45 +97,6 @@ TEST(RealSpaceSweep, RegionsOneIsBitwiseSerial) {
   for (const auto& r : rb) EXPECT_EQ(r.mode, SweepMode::kSerial);
 }
 
-TEST(RealSpaceSweep, PrefetchIsBitwiseSerial) {
-  const int n = 8, sweeps = 3;
-  Dmrg eager = heisenberg_solver(n);
-  auto ra = run_sweeps(eager, params_for(16), sweeps);
-  Dmrg pre = heisenberg_solver(n);
-  auto rb = run_sweeps(pre, params_for(16, SweepMode::kSerial, 1, true), sweeps);
-  expect_bitwise_equal(ra, rb, eager, pre, "prefetch");
-  // Overlap is accounted in the dedicated slot, not hidden.
-  for (const auto& r : rb) {
-    EXPECT_GT(r.prefetch_launched, 0);
-    EXPECT_GT(r.costs.time(tt::rt::Category::kPrefetch), 0.0);
-  }
-  for (const auto& r : ra) {
-    EXPECT_EQ(r.prefetch_launched, 0);
-    EXPECT_EQ(r.costs.time(tt::rt::Category::kPrefetch), 0.0);
-  }
-}
-
-TEST(RealSpaceSweep, SlowPrefetchStaysInFlightAcrossTheTurn) {
-  // Regression for the sweep-turn race: the last L2R bond launches
-  // prefetch_left(N-1), whose worker reads site N-2, and the first R2L bond
-  // re-optimizes that same bond without ever demanding the pending node — so
-  // the join must come from site_changed *before* set_site replaces the
-  // tensor the worker is reading. The injected worker delay keeps the future
-  // in flight across the turn, so under TSan a regressed ordering is a
-  // deterministic report instead of scheduling luck.
-  const int n = 6, sweeps = 2;
-  Dmrg eager = heisenberg_solver(n);
-  auto ra = run_sweeps(eager, params_for(12), sweeps);
-  Dmrg slow = heisenberg_solver(n);
-  slow.environments().set_prefetch_delay_for_testing(
-      std::chrono::milliseconds(10));
-  auto rb = run_sweeps(slow, params_for(12, SweepMode::kSerial, 1, true), sweeps);
-  expect_bitwise_equal(ra, rb, eager, slow, "slow prefetch");
-  long blocked = 0;
-  for (const auto& r : rb) blocked += r.prefetch_launched - r.prefetch_hits;
-  EXPECT_GT(blocked, 0);  // the delay really forced joins to block in flight
-}
-
 TEST(RealSpaceSweep, SerialSweepInvariantUnderThreadCount) {
   const int n = 8, sweeps = 2;
   Dmrg base = heisenberg_solver(n);
@@ -145,7 +104,7 @@ TEST(RealSpaceSweep, SerialSweepInvariantUnderThreadCount) {
   for (int threads : {2, 8}) {
     tt::support::set_num_threads(threads);
     Dmrg other = heisenberg_solver(n);
-    auto rb = run_sweeps(other, params_for(16, SweepMode::kSerial, 1, true), sweeps);
+    auto rb = run_sweeps(other, params_for(16), sweeps);
     tt::support::set_num_threads(0);
     expect_bitwise_equal(ra, rb, base, other, "threads");
   }

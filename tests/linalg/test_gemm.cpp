@@ -6,13 +6,10 @@
 #include <tuple>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "linalg/backend.hpp"
 #include "linalg/gemm.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -64,13 +61,14 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{90, 110, 70, true, true}, GemmCase{1, 200, 1, false, false},
         GemmCase{200, 1, 64, false, false},
         // Packed micro-kernel edges: one off either side of the register tile
-        // (4×8), the panel blocks (128 rows, 256 k, 2048 cols), and shapes
+        // (4×8), the C tile and k block (128 rows, 256 cols, 256 k), and shapes
         // that leave partially filled zero-padded tiles in every corner.
         GemmCase{4, 8, 4, false, false}, GemmCase{5, 9, 3, false, false},
         GemmCase{3, 7, 5, false, false}, GemmCase{127, 255, 129, false, false},
         GemmCase{129, 9, 257, false, false}, GemmCase{130, 2049, 2, false, false},
         GemmCase{5, 9, 257, true, false}, GemmCase{129, 7, 31, false, true},
-        GemmCase{131, 9, 258, true, true}));
+        GemmCase{131, 9, 258, true, true}, GemmCase{33, 257, 5, false, false},
+        GemmCase{31, 255, 257, true, true}));
 
 TEST(Gemm, AlphaBetaAccumulate) {
   Rng rng(9);
@@ -193,33 +191,25 @@ TEST(Gemm, BuiltinPropagatesNanThroughZeroEntries) {
 }
 
 TEST(Gemm, BuiltinBitwiseDeterministicAcrossThreadCounts) {
-  // The PR-2 invariant, at the kernel level: the packed GEMM partitions only
-  // disjoint C row panels across threads and keeps every element's k-order
-  // fixed, so results are bitwise identical at any thread count. The kernel
-  // threads via OpenMP, so that is the knob varied here (no-op serial builds
-  // still check repeatability).
+  // The PR-2 invariant, at the kernel level: the packed GEMM splits only
+  // disjoint C tiles across threads and keeps every element's k-order fixed,
+  // so results are bitwise identical at any thread count. The tile loop runs
+  // on the support::parallel_for pool, so its thread count is the knob varied
+  // here.
   const std::string saved = tt::linalg::backend_name();
   tt::linalg::set_backend("builtin");
   Rng rng(77);
-  Matrix a = Matrix::random(300, 130, rng);  // 3 row panels at kMc = 128
-  Matrix b = Matrix::random(130, 90, rng);
-#ifdef _OPENMP
-  const int saved_threads = omp_get_max_threads();
-#endif
+  // 3 row panels × 2 column tiles × 2 k blocks: enough tiles to split.
+  Matrix a = Matrix::random(300, 300, rng);
+  Matrix b = Matrix::random(300, 270, rng);
   auto run_with_threads = [&](int threads) {
-#ifdef _OPENMP
-    omp_set_num_threads(threads);
-#else
-    (void)threads;
-#endif
+    tt::support::set_num_threads(threads);
     return tt::linalg::matmul(a, b);
   };
   Matrix c1 = run_with_threads(1);
   Matrix c2 = run_with_threads(2);
   Matrix c8 = run_with_threads(8);
-#ifdef _OPENMP
-  omp_set_num_threads(saved_threads);
-#endif
+  tt::support::set_num_threads(0);
   EXPECT_TRUE(c1 == c2);
   EXPECT_TRUE(c1 == c8);
   tt::linalg::set_backend(saved);

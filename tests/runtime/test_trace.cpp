@@ -1,24 +1,16 @@
 // rt::Trace contract tests: the disabled path costs nothing observable, the
 // ring buffer drops newest-first and counts, Chrome JSON export is
 // well-formed, worker events round-trip through serialize/absorb, spans
-// arrive from every scheduler rank in both spawn modes, tracing does not
-// perturb bitwise determinism, and the sweep-turn prefetch span overlaps the
-// Davidson span it hides behind (the timeline fact the tracer exists to
-// show).
+// arrive from every scheduler rank in both spawn modes, and tracing does not
+// perturb bitwise determinism.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "dmrg/dmrg.hpp"
-#include "dmrg/engines.hpp"
-#include "models/heisenberg.hpp"
-#include "models/lattice.hpp"
-#include "models/spin_half.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/trace.hpp"
@@ -274,45 +266,5 @@ INSTANTIATE_TEST_SUITE_P(Modes, TraceModes,
                          [](const auto& info) {
                            return std::string(tt::rt::spawn_mode_name(info.param));
                          });
-
-TEST_F(TraceTest, SweepTurnPrefetchSpanOverlapsDavidson) {
-  const int n = 8;
-  auto lat = tt::models::chain(n);
-  auto sites = tt::models::spin_half_sites(n);
-  auto h = tt::models::heisenberg_mpo(sites, lat, 1.0);
-  std::vector<int> neel;
-  for (int i = 0; i < n; ++i) neel.push_back(i % 2);
-  tt::dmrg::Dmrg solver(tt::mps::Mps::product_state(sites, neel), h,
-                        tt::dmrg::make_engine(tt::dmrg::EngineKind::kReference,
-                                              {tt::rt::localhost(), 1, 1}));
-  // At this scale the extension outpaces theta; the stall holds the turn
-  // future in flight into the Davidson window (same seam the TSan turn-race
-  // test uses), making the overlap deterministic instead of a scheduling
-  // coin flip.
-  solver.environments().set_prefetch_delay_for_testing(
-      std::chrono::milliseconds(50));
-
-  Trace::instance().start();
-  tt::dmrg::SweepParams params;
-  params.max_m = 16;
-  params.davidson_iter = 2;
-  params.prefetch = true;
-  const tt::dmrg::SweepRecord rec = solver.sweep(params);
-  Trace::instance().stop();
-  ASSERT_GT(rec.prefetch_launched, 0);
-
-  const std::string json = exported_json();
-  const auto prefetch = spans(json, "env.prefetch");
-  const auto davidson = spans(json, "dmrg.davidson");
-  ASSERT_FALSE(prefetch.empty());
-  ASSERT_FALSE(davidson.empty());
-  bool overlap = false;
-  for (const SpanIv& p : prefetch)
-    for (const SpanIv& d : davidson)
-      overlap = overlap ||
-                (p.ts < d.ts + d.dur && d.ts < p.ts + p.dur);
-  EXPECT_TRUE(overlap)
-      << "no env.prefetch span overlapped a dmrg.davidson span";
-}
 
 }  // namespace
