@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common.hpp"
+#include "linalg/eigen.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/svd.hpp"
 #include "symm/block_ops.hpp"
@@ -105,7 +106,21 @@ void BM_Svd(benchmark::State& state) {
     benchmark::DoNotOptimize(f.s.data());
   }
 }
-BENCHMARK(BM_Svd)->Arg(32)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Svd)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
+
+void BM_Eigh(benchmark::State& state) {
+  // Symmetric positive semidefinite, like the Gram matrices the builtin SVD
+  // and the Davidson Rayleigh–Ritz step diagonalize.
+  const index_t n = state.range(0);
+  Rng rng(8);
+  auto g = tt::linalg::Matrix::random(n, n, rng);
+  auto a = tt::linalg::matmul(false, true, g, g);
+  for (auto _ : state) {
+    auto e = tt::linalg::eigh(a);
+    benchmark::DoNotOptimize(e.values.data());
+  }
+}
+BENCHMARK(BM_Eigh)->Arg(64)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
 void BM_BlockContract(benchmark::State& state) {
   const index_t m = state.range(0);

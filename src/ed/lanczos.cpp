@@ -69,17 +69,9 @@ LanczosResult lanczos_ground_state(index_t dim, const MatVec& matvec, int max_it
     for (int pass = 0; pass < 2; ++pass)
       for (const auto& basis_vec : v) vaxpy(w, -vdot(w, basis_vec), basis_vec);
 
-    // Rayleigh–Ritz on the tridiagonal matrix.
+    // Rayleigh–Ritz on the tridiagonal matrix T = tridiag(beta, alpha, beta).
     const int k = static_cast<int>(alpha.size());
-    linalg::Matrix t(k, k);
-    for (int i = 0; i < k; ++i) {
-      t(i, i) = alpha[static_cast<std::size_t>(i)];
-      if (i + 1 < k) {
-        t(i, i + 1) = beta[static_cast<std::size_t>(i)];
-        t(i + 1, i) = beta[static_cast<std::size_t>(i)];
-      }
-    }
-    auto eig = linalg::eigh(t);
+    auto eig = linalg::eigh_tridiagonal(alpha, beta);
     const real_t eval = eig.values.front();
     out.iterations = it + 1;
 

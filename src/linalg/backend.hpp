@@ -5,9 +5,9 @@
 // Backend. Two implementations exist:
 //
 //   "builtin"  the self-contained kernels in this directory (packed
-//              micro-kernel GEMM, QR-preprocessed Jacobi SVD, Householder QR,
-//              cyclic Jacobi eigensolver). Always available; bitwise
-//              deterministic at any TT_THREADS.
+//              micro-kernel GEMM, Gram-preconditioned Jacobi SVD,
+//              Householder QR, Householder + implicit-QL eigensolver).
+//              Always available; bitwise deterministic at any TT_THREADS.
 //   "blas"     vendor BLAS/LAPACK (dgemm/dgemv/dgesdd/dgeqrf+dorgqr/dsyevd),
 //              compiled in under -DTT_WITH_BLAS=ON (backend_blas.cpp) and the
 //              default whenever present.

@@ -57,4 +57,17 @@ real_t max_abs_diff(const Matrix& a, const Matrix& b) {
   return m;
 }
 
+real_t dot(const real_t* x, const real_t* y, index_t n) {
+  real_t s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  index_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    s0 += x[k] * y[k];
+    s1 += x[k + 1] * y[k + 1];
+    s2 += x[k + 2] * y[k + 2];
+    s3 += x[k + 3] * y[k + 3];
+  }
+  for (; k < n; ++k) s0 += x[k] * y[k];
+  return (s0 + s1) + (s2 + s3);
+}
+
 }  // namespace tt::linalg

@@ -77,4 +77,9 @@ class Matrix {
 /// Max |a_ij - b_ij|; matrices must have equal shape.
 real_t max_abs_diff(const Matrix& a, const Matrix& b);
 
+/// Σ x[k]·y[k] over n contiguous entries (rows of a Matrix), summed in four
+/// interleaved partial sums: a fixed order, so deterministic, that keeps the
+/// adds pipelined.
+real_t dot(const real_t* x, const real_t* y, index_t n);
+
 }  // namespace tt::linalg

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "linalg/eigen.hpp"
 #include "linalg/gemm.hpp"
+#include "linalg/qr.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -106,6 +108,92 @@ TEST(Eigh, NegativeDefinite) {
   auto e = tt::linalg::eigh(a);
   EXPECT_NEAR(e.values[0], -9.0, 1e-12);
   EXPECT_NEAR(e.values[1], -4.0, 1e-12);
+}
+
+// V·diag(w)·Vᵀ with a random orthogonal V.
+Matrix with_spectrum(const std::vector<double>& w, Rng& rng) {
+  const index_t n = static_cast<index_t>(w.size());
+  const Matrix v = tt::linalg::qr(Matrix::random(n, n, rng)).q;
+  Matrix vw = v;
+  for (index_t i = 0; i < n; ++i)
+    for (index_t j = 0; j < n; ++j) vw(i, j) *= w[static_cast<std::size_t>(j)];
+  Matrix a = tt::linalg::matmul(false, true, vw, v);
+  for (index_t i = 0; i < n; ++i)
+    for (index_t j = 0; j < i; ++j) a(j, i) = a(i, j);
+  return a;
+}
+
+// Eigenvalues match `w` (ascending), A·V = V·diag(w) and VᵀV = 1.
+void expect_eigensystem(const Matrix& a, const std::vector<double>& w,
+                        const tt::linalg::EigResult& e, double tol) {
+  const index_t n = a.rows();
+  ASSERT_EQ(e.values.size(), w.size());
+  for (std::size_t k = 0; k < w.size(); ++k)
+    EXPECT_NEAR(e.values[k], w[k], tol) << "k=" << k;
+  Matrix av = tt::linalg::matmul(a, e.vectors);
+  Matrix vd = e.vectors;
+  for (index_t i = 0; i < n; ++i)
+    for (index_t j = 0; j < n; ++j) vd(i, j) *= e.values[static_cast<std::size_t>(j)];
+  EXPECT_LT(tt::linalg::max_abs_diff(av, vd), tol);
+  Matrix vtv = tt::linalg::matmul(true, false, e.vectors, e.vectors);
+  EXPECT_LT(tt::linalg::max_abs_diff(vtv, Matrix::identity(n)), 1e-12);
+}
+
+TEST(Eigh, DegenerateSpectrum) {
+  // Multiplicities 3, 2, 1, 4: any basis of each eigenspace is valid, but
+  // the vectors must stay orthonormal and satisfy A·V = V·W.
+  std::vector<double> w{-1, -1, -1, 0.5, 0.5, 2, 3, 3, 3, 3};
+  Rng rng(41);
+  const Matrix a = with_spectrum(w, rng);
+  expect_eigensystem(a, w, tt::linalg::eigh(a), 1e-12);
+}
+
+TEST(Eigh, ClusteredSpectrum) {
+  // 40 eigenvalues within 4e-9 of 1, plus outliers.
+  std::vector<double> w{-3.0};
+  for (int k = 0; k < 40; ++k) w.push_back(1.0 + 1e-10 * k);
+  w.push_back(5.0);
+  Rng rng(42);
+  const Matrix a = with_spectrum(w, rng);
+  expect_eigensystem(a, w, tt::linalg::eigh(a), 1e-12);
+}
+
+TEST(EighTridiagonal, MatchesDenseEighOnLanczosStyleMatrix) {
+  // Lanczos T: alpha on the diagonal, positive beta beside it.
+  Rng rng(43);
+  const index_t n = 60;
+  std::vector<double> alpha, beta;
+  for (index_t i = 0; i < n; ++i) alpha.push_back(rng.normal());
+  for (index_t i = 0; i + 1 < n; ++i) beta.push_back(0.1 + std::abs(rng.normal()));
+  Matrix t(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    t(i, i) = alpha[static_cast<std::size_t>(i)];
+    if (i + 1 < n) t(i, i + 1) = t(i + 1, i) = beta[static_cast<std::size_t>(i)];
+  }
+  const auto dense = tt::linalg::eigh(t);
+  const auto tri = tt::linalg::eigh_tridiagonal(alpha, beta);
+  expect_eigensystem(t, dense.values, tri, 1e-12);
+}
+
+TEST(EighTridiagonal, PathLaplacianClosedForm) {
+  // tridiag(-1, 2, -1) of size n has eigenvalues 2 − 2cos(kπ/(n+1)).
+  const index_t n = 50;
+  std::vector<double> d(static_cast<std::size_t>(n), 2.0);
+  std::vector<double> off(static_cast<std::size_t>(n - 1), -1.0);
+  const auto e = tt::linalg::eigh_tridiagonal(d, off);
+  for (index_t k = 1; k <= n; ++k) {
+    const double theta = M_PI * static_cast<double>(k) / static_cast<double>(n + 1);
+    EXPECT_NEAR(e.values[static_cast<std::size_t>(k - 1)], 2.0 - 2.0 * std::cos(theta),
+                1e-13);
+  }
+}
+
+TEST(EighTridiagonal, OneByOneAndSizeMismatch) {
+  const auto e = tt::linalg::eigh_tridiagonal({-2.5}, {});
+  ASSERT_EQ(e.values.size(), 1u);
+  EXPECT_EQ(e.values[0], -2.5);
+  EXPECT_EQ(e.vectors(0, 0), 1.0);
+  EXPECT_THROW(tt::linalg::eigh_tridiagonal({1.0, 2.0}, {}), tt::Error);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "linalg/eigen.hpp"
 #include "linalg/gemm.hpp"
+#include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
 #include "support/rng.hpp"
 
@@ -162,6 +163,91 @@ TEST(Svd, TinyOrthogonalDiagonalStaysExact) {
   auto f = tt::linalg::svd(a);
   EXPECT_DOUBLE_EQ(f.s[0], 2e-100);
   EXPECT_DOUBLE_EQ(f.s[1], 1e-100);
+}
+
+// A = U·diag(σ)·Vᵀ with random orthonormal U, V and σ_k = 10^(-14·k/(r-1)):
+// the graded spectra DMRG truncation sees, down to the ε‖A‖ floor.
+struct GradedInput {
+  Matrix a;
+  std::vector<double> s;
+};
+
+GradedInput graded(index_t m, index_t n, Rng& rng) {
+  const index_t r = std::min(m, n);
+  Matrix u = tt::linalg::qr(Matrix::random(m, r, rng)).q;
+  const Matrix v = tt::linalg::qr(Matrix::random(n, r, rng)).q;
+  GradedInput out;
+  for (index_t k = 0; k < r; ++k) {
+    const double sk =
+        std::pow(10.0, -14.0 * static_cast<double>(k) / static_cast<double>(r - 1));
+    out.s.push_back(sk);
+    for (index_t i = 0; i < m; ++i) u(i, k) *= sk;
+  }
+  out.a = tt::linalg::matmul(false, true, u, v);
+  return out;
+}
+
+class SvdGraded : public ::testing::TestWithParam<std::pair<index_t, index_t>> {};
+
+TEST_P(SvdGraded, SingularValuesAbsoluteAndFactorsOrthonormal) {
+  auto [m, n] = GetParam();
+  Rng rng(m * 113 + n);
+  const GradedInput in = graded(m, n, rng);
+  auto f = tt::linalg::svd(in.a);
+  ASSERT_EQ(f.s.size(), in.s.size());
+  for (std::size_t k = 0; k < f.s.size(); ++k)
+    EXPECT_NEAR(f.s[k], in.s[k], 1e-13 * in.s[0]) << "k=" << k;
+  Matrix utu = tt::linalg::matmul(true, false, f.u, f.u);
+  Matrix vvt = tt::linalg::matmul(false, true, f.vt, f.vt);
+  EXPECT_LT(tt::linalg::max_abs_diff(utu, Matrix::identity(utu.rows())), 1e-12);
+  EXPECT_LT(tt::linalg::max_abs_diff(vvt, Matrix::identity(vvt.rows())), 1e-12);
+  EXPECT_LT(tt::linalg::max_abs_diff(f.reconstruct(), in.a), 1e-13);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, SvdGraded,
+                         ::testing::Values(std::make_pair<index_t, index_t>(64, 64),
+                                           std::make_pair<index_t, index_t>(128, 128),
+                                           std::make_pair<index_t, index_t>(300, 300),
+                                           std::make_pair<index_t, index_t>(300, 120),
+                                           std::make_pair<index_t, index_t>(120, 300)));
+
+TEST(Svd, ExtremeScalesStayFiniteAndScaleExactly) {
+  // Entries near 1e±150 square to 1e±300 in a Gram matrix, at the edge of
+  // the double range, and 1e±160 square past it (to inf, or to subnormals
+  // with a few digits left); the power-of-two prescaling must keep σ finite
+  // and exact.
+  Rng rng(21);
+  const Matrix a = Matrix::random(30, 20, rng);
+  const auto ref = tt::linalg::svd(a);
+  for (double scale : {1e-150, 1e150, 1e-160, 1e160}) {
+    Matrix b = a;
+    b *= scale;
+    const auto f = tt::linalg::svd(b);
+    ASSERT_EQ(f.s.size(), ref.s.size());
+    for (std::size_t k = 0; k < f.s.size(); ++k) {
+      ASSERT_TRUE(std::isfinite(f.s[k])) << "scale " << scale << " k=" << k;
+      EXPECT_NEAR(f.s[k] / scale, ref.s[k], 1e-12 * ref.s[0]) << "scale " << scale;
+    }
+    Matrix utu = tt::linalg::matmul(true, false, f.u, f.u);
+    EXPECT_LT(tt::linalg::max_abs_diff(utu, Matrix::identity(utu.rows())), 1e-12);
+  }
+}
+
+TEST(Svd, RankDeficientWideCompletesNullRows) {
+  // Wide rank-3 input: the V factor's rows past the rank come from the null
+  // completion and must still be orthonormal.
+  Rng rng(4);
+  Matrix x = Matrix::random(8, 3, rng);
+  Matrix y = Matrix::random(3, 20, rng);
+  Matrix a = tt::linalg::matmul(x, y);
+  auto f = tt::linalg::svd(a);
+  ASSERT_EQ(f.s.size(), 8u);
+  for (std::size_t i = 3; i < f.s.size(); ++i) EXPECT_LT(f.s[i], 1e-12 * f.s[0]);
+  Matrix vvt = tt::linalg::matmul(false, true, f.vt, f.vt);
+  EXPECT_LT(tt::linalg::max_abs_diff(vvt, Matrix::identity(8)), 1e-12);
+  Matrix utu = tt::linalg::matmul(true, false, f.u, f.u);
+  EXPECT_LT(tt::linalg::max_abs_diff(utu, Matrix::identity(8)), 1e-12);
+  EXPECT_LT(tt::linalg::max_abs_diff(f.reconstruct(), a), 1e-12 * a.max_abs());
 }
 
 TEST(SvdRank, CutoffAndCap) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "linalg/backend.hpp"
 #include "symm/block_factor.hpp"
 #include "symm/block_ops.hpp"
 #include "symm/fuse.hpp"
+#include "support/thread_pool.hpp"
 #include "tensor/einsum.hpp"
 
 namespace {
@@ -232,6 +235,36 @@ TEST(BlockFactor, RejectsDegenerateBipartitions) {
   EXPECT_THROW(tt::symm::block_qr(a, {0, 1, 2}), tt::Error);
   EXPECT_THROW(tt::symm::block_qr(a, {0, 0}), tt::Error);
   EXPECT_THROW(tt::symm::block_svd(a, {5}), tt::Error);
+}
+
+TEST(BlockSvd, BitwiseIdenticalAcrossThreadCounts) {
+  // Three charge groups, one wider than 256 rows: the groups run on the pool
+  // and the big group's Gram and rotation GEMMs split their tiles across it.
+  const std::string saved = tt::linalg::backend_name();
+  tt::linalg::set_backend("builtin");
+  Rng rng(61);
+  const Index rows({{QN(-1), 30}, {QN(0), 264}, {QN(1), 40}}, Dir::In);
+  const Index cols({{QN(-1), 20}, {QN(0), 270}, {QN(1), 50}}, Dir::Out);
+  const BlockTensor a = BlockTensor::random({rows, cols}, QN::zero(1), rng);
+  TruncParams trunc;
+  trunc.max_dim = 200;
+  auto run_with_threads = [&](int threads) {
+    tt::support::set_num_threads(threads);
+    return tt::symm::block_svd(a, {0}, trunc);
+  };
+  const auto f1 = run_with_threads(1);
+  const auto f2 = run_with_threads(2);
+  const auto f8 = run_with_threads(8);
+  tt::support::set_num_threads(0);
+  tt::linalg::set_backend(saved);
+  ASSERT_EQ(f1.shapes.size(), 3u);
+  EXPECT_GT(f1.shapes[1].rows, 256);
+  for (const auto* f : {&f2, &f8}) {
+    EXPECT_EQ(f->singular_values, f1.singular_values);
+    EXPECT_EQ(tt::symm::max_abs_diff(f->u, f1.u), 0.0);
+    EXPECT_EQ(tt::symm::max_abs_diff(f->vt, f1.vt), 0.0);
+    EXPECT_EQ(f->truncation_error, f1.truncation_error);
+  }
 }
 
 TEST(BlockFactor, RejectsEmptyTensor) {
