@@ -1,11 +1,14 @@
 // Google-benchmark microbenches for the computational substrates: GEMM,
 // tensor permutation (HPTT stand-in), einsum contraction (dense and sparse),
-// SVD, and block-sparse contraction (Alg. 2). These measure real host
-// throughput — the numbers behind the wall-clock columns of the figure
-// benches.
+// SVD, block-sparse contraction (Alg. 2) and one Davidson matvec. These
+// measure real host throughput — the numbers behind the wall-clock columns of
+// the figure benches.
 #include <benchmark/benchmark.h>
 
 #include "common.hpp"
+#include "dmrg/engine.hpp"
+#include "dmrg/env_graph.hpp"
+#include "dmrg/environment.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/svd.hpp"
@@ -14,6 +17,8 @@
 #include "mps/mps.hpp"
 #include "models/spin_half.hpp"
 #include "models/electron.hpp"
+#include "models/hubbard.hpp"
+#include "models/lattice.hpp"
 
 namespace {
 
@@ -150,6 +155,33 @@ void BM_BlockContractElectron(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockContractElectron)->Arg(16)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMicrosecond);
+
+void BM_MatvecElectron(benchmark::State& state) {
+  // One two-site Davidson matvec at the middle bond of the triangular Hubbard
+  // 4×3 cylinder (the electrons workload), list engine, at bond dimension m.
+  // Two conserved charges give many tiny blocks, and the four contractions
+  // hit every operand route (as-is, transpose, permute), so this is the
+  // per-block-pair layer the BlockContract cases (no permutes) miss.
+  const index_t m = state.range(0);
+  const auto lat = tt::models::triangular_cylinder(4, 3);
+  auto sites = tt::models::electron_sites(lat.num_sites);
+  const tt::mps::Mpo h = tt::models::hubbard_mpo(sites, lat, 1.0, 8.5);
+  Rng rng(8);
+  const auto psi = tt::mps::Mps::random(sites, tt::symm::QN(lat.num_sites, 0), m, rng);
+  auto eng =
+      tt::dmrg::make_engine(tt::dmrg::EngineKind::kList, {tt::rt::localhost(), 1, 1});
+  const int j = lat.num_sites / 2 - 1;
+  tt::dmrg::EnvGraph envs(*eng, psi, h);
+  const tt::symm::BlockTensor left = envs.left(j);
+  const tt::symm::BlockTensor right = envs.right(j + 2);
+  const tt::symm::BlockTensor x =
+      tt::symm::contract(psi.site(j), psi.site(j + 1), {{2, 0}});
+  for (auto _ : state) {
+    auto y = tt::dmrg::apply_two_site(*eng, left, h.site(j), h.site(j + 1), right, x);
+    benchmark::DoNotOptimize(y.num_blocks());
+  }
+}
+BENCHMARK(BM_MatvecElectron)->Arg(32)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -33,6 +33,7 @@ BlockTensor extend_left(ContractionEngine& eng, const BlockTensor& left,
   // · W(k,s,s',k') over (mpo,k),(s_bra,s) → (ket, r_bra, s', k')
   BlockTensor t2 =
       eng.contract(t1, Role::kOperator, w_j, Role::kOperator, {{0, 0}, {2, 1}});
+  t1 = BlockTensor();  // consumed: release before the last step allocates
   // · ψ(l,s,r) over (ket,l),(s',s)        → (r_bra, k', r_ket)
   return eng.contract(t2, Role::kOperator, psi_j, Role::kOperator, {{0, 0}, {2, 1}});
 }
@@ -45,6 +46,7 @@ BlockTensor extend_right(ContractionEngine& eng, const BlockTensor& right,
   // · W(k,s,s',k') over (mpo,k'),(s_bra,s)  → (l_bra, ket, k, s')
   BlockTensor t2 =
       eng.contract(t1, Role::kOperator, w_j, Role::kOperator, {{2, 3}, {1, 1}});
+  t1 = BlockTensor();  // consumed: release before the last step allocates
   // · ψ(l,s,r) over (ket,r),(s',s)          → (l_bra, k, l_ket)
   return eng.contract(t2, Role::kOperator, psi_j, Role::kOperator, {{1, 2}, {3, 1}});
 }
@@ -58,9 +60,11 @@ BlockTensor apply_two_site(ContractionEngine& eng, const BlockTensor& left,
   // · W1(k,s,s',k') over (mpo,k),(s1,s')       → (bra, s2, r, s1', k')
   BlockTensor t2 =
       eng.contract(t1, Role::kIntermediate, w1, Role::kOperator, {{1, 0}, {2, 2}});
+  t1 = BlockTensor();  // consumed: at most two intermediates are ever alive
   // · W2 over (k',k),(s2,s')                   → (bra, r, s1', s2', k'')
   BlockTensor t3 =
       eng.contract(t2, Role::kIntermediate, w2, Role::kOperator, {{4, 0}, {1, 2}});
+  t2 = BlockTensor();  // consumed
   // · R(bra,mpo,ket) over (r,ket),(k'',mpo)    → (bra, s1', s2', r_bra)
   return eng.contract(t3, Role::kIntermediate, right, Role::kOperator,
                       {{1, 2}, {4, 1}});

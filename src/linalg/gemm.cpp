@@ -29,12 +29,12 @@ bool ranges_overlap(const real_t* a, index_t na, const real_t* b, index_t nb) {
 
 // --- packed-panel, register-tiled GEMM ---------------------------------------
 //
-// BLIS-style blocking: for each kKc block of k, op(B) is packed once into
-// kNr-wide strips; then each C tile (at most kMc rows × kNt columns) packs its
-// row panel of op(A) into kMr-tall strips (alpha folded in) and sweeps it with
-// a kMr×kNr register-tile micro-kernel. The packing reads op(A)/op(B) through
-// their physical layout, so transposed operands cost nothing extra — no
-// transpose is ever materialized.
+// BLIS-style blocking: C is cut into tiles of at most kMc rows × kNt columns.
+// For each kKc block of k, a tile packs its kNt-column slice of op(B) into
+// kNr-wide strips and its row panel of op(A) into kMr-tall strips (alpha
+// folded in), then sweeps them with a kMr×kNr register-tile micro-kernel. The
+// packing reads op(A)/op(B) through their physical layout, so transposed
+// operands cost nothing extra — no transpose is ever materialized.
 //
 // Tiles write disjoint parts of C and the k blocks run in order, so every C
 // element accumulates its k contributions in one fixed order: results are
@@ -44,7 +44,7 @@ constexpr index_t kMr = 4;     // register tile rows
 constexpr index_t kNr = 8;     // register tile cols (one or two vector widths)
 constexpr index_t kMc = 128;   // A panel rows   (A panel: kMc×kKc = 256 KB)
 constexpr index_t kKc = 256;   // shared k block
-constexpr index_t kNt = 256;   // C tile cols    (B strips per tile: 512 KB)
+constexpr index_t kNt = 256;   // C tile cols    (B tile: kKc×kNt = 512 KB)
 // m·n·k above which the tile loop runs on the pool; below it the dispatch
 // costs more than the split saves.
 constexpr index_t kParallelMinVolume = index_t{1} << 21;
@@ -91,43 +91,71 @@ void micro_kernel(index_t kc, const real_t* __restrict ap,
     for (index_t j = 0; j < nb; ++j) c[i * ldc + j] += acc[i][j];
 }
 
+// Per-thread pack buffers, reused across calls. Each grows to what the
+// largest GEMM on its thread needed and never past one A panel (kMc×kKc) and
+// one B tile (kKc×kNt): at most 768 KB per thread, whatever the shapes.
+struct PackScratch {
+  std::vector<real_t> a, b;
+};
+
+PackScratch& pack_scratch(std::size_t a_words, std::size_t b_words) {
+  thread_local PackScratch s;
+  if (s.a.size() < a_words) s.a.resize(a_words);
+  if (s.b.size() < b_words) s.b.resize(b_words);
+  return s;
+}
+
 // C += alpha·op(A)·op(B) for non-degenerate shapes (beta already applied).
 // Serial below kParallelMinVolume, at one thread, and inside a pool region
-// (e.g. a contraction bin): the tile loop is then a plain loop.
+// (e.g. a contraction bin): the tile loop is then a plain loop that packs each
+// B tile once and reuses it for every row panel. On the pool every tile packs
+// its own B tile, trading a repack per row panel for no shared state.
 void gemm_packed(bool transa, bool transb, index_t m, index_t n, index_t k,
                  real_t alpha, const real_t* a, const real_t* b, real_t* c) {
-  const index_t num_bstrips = (n + kNr - 1) / kNr;
-  std::vector<real_t> bpack(
-      static_cast<std::size_t>(num_bstrips * kNr * std::min(kKc, k)));
+  const index_t row_panels = (m + kMc - 1) / kMc;
   const index_t col_tiles = (n + kNt - 1) / kNt;
-  const index_t tiles = (m + kMc - 1) / kMc * col_tiles;
+  const index_t tiles = row_panels * col_tiles;
+  const index_t kb = std::min(kKc, k);
+  const auto a_words = static_cast<std::size_t>(round_up(std::min(kMc, m), kMr) * kb);
+  const auto b_words = static_cast<std::size_t>(round_up(std::min(kNt, n), kNr) * kb);
   const bool parallel = tiles > 1 && m * n * k > kParallelMinVolume &&
                         support::num_threads() > 1 && !support::in_parallel_region();
   for (index_t pc = 0; pc < k; pc += kKc) {
     const index_t kc = std::min(kKc, k - pc);
-    for (index_t s = 0; s < num_bstrips; ++s)
-      pack_b_strip(transb, b, k, n, pc, s * kNr, std::min(kNr, n - s * kNr), kc,
-                   bpack.data() + s * kc * kNr);
-    // One tile = one C row panel × kNt columns. The A panel stays
+    // Pack op(B)[pc:pc+kc, jt:jt+kNt] into kNr-wide strips.
+    auto pack_b_tile = [&](index_t jt, real_t* bp) {
+      const index_t nt = std::min(kNt, n - jt);
+      for (index_t j = 0; j < nt; j += kNr)
+        pack_b_strip(transb, b, k, n, pc, jt + j, std::min(kNr, nt - j), kc,
+                     bp + j * kc);
+    };
+    // C[ic:ic+kMc, jt:jt+kNt] += A panel · packed B tile. The A panel stays
     // cache-resident while the tile's B strips stream past it.
-    auto tile = [&](index_t t) {
-      const index_t ic = t / col_tiles * kMc;
+    auto run_tile = [&](index_t ic, index_t jt, const real_t* bp, real_t* ap) {
       const index_t mc = std::min(kMc, m - ic);
-      const index_t jt = t % col_tiles * kNt;
-      std::vector<real_t> apack(static_cast<std::size_t>(round_up(mc, kMr) * kc));
+      const index_t nt = std::min(kNt, n - jt);
       for (index_t ir = 0; ir < mc; ir += kMr)
         pack_a_strip(transa, a, m, k, ic + ir, std::min(kMr, mc - ir), pc, kc,
-                     alpha, apack.data() + ir * kc);
-      for (index_t jr = jt; jr < std::min(n, jt + kNt); jr += kNr)
+                     alpha, ap + ir * kc);
+      for (index_t j = 0; j < nt; j += kNr)
         for (index_t ir = 0; ir < mc; ir += kMr)
-          micro_kernel(kc, apack.data() + ir * kc, bpack.data() + jr * kc,
-                       c + (ic + ir) * n + jr, n, std::min(kMr, mc - ir),
-                       std::min(kNr, n - jr));
+          micro_kernel(kc, ap + ir * kc, bp + j * kc, c + (ic + ir) * n + jt + j, n,
+                       std::min(kMr, mc - ir), std::min(kNr, nt - j));
     };
     if (parallel) {
-      support::parallel_for(tiles, tile);
+      support::parallel_for(tiles, [&](index_t t) {
+        PackScratch& s = pack_scratch(a_words, b_words);
+        const index_t jt = t % col_tiles * kNt;
+        pack_b_tile(jt, s.b.data());
+        run_tile(t / col_tiles * kMc, jt, s.b.data(), s.a.data());
+      });
     } else {
-      for (index_t t = 0; t < tiles; ++t) tile(t);
+      PackScratch& s = pack_scratch(a_words, b_words);
+      for (index_t jt = 0; jt < n; jt += kNt) {
+        pack_b_tile(jt, s.b.data());
+        for (index_t ic = 0; ic < m; ic += kMc)
+          run_tile(ic, jt, s.b.data(), s.a.data());
+      }
     }
   }
 }

@@ -40,7 +40,7 @@ constexpr double kWorkerIdleTimeout = 3600.0;
 // their nth/count counters are exact in both spawn modes — a fork()ed
 // worker's own injector copy would count per-process.
 struct WorkerTask {
-  std::string spec;
+  tensor::EinsumLowering lowering;  // the shipped spec, lowered once per task
   int threads = 1;
   bool collect_ops = false;
   bool kill_before_result = false;
@@ -54,7 +54,7 @@ struct WorkerTask {
 WorkerTask parse_task(const std::vector<std::byte>& payload) {
   WireReader r(payload);
   WorkerTask task;
-  task.spec = r.str();
+  task.lowering = tensor::lower_einsum(r.str());
   task.threads = static_cast<int>(r.u32());
   task.collect_ops = r.u32() != 0;
   task.kill_before_result = r.u32() != 0;
@@ -114,7 +114,7 @@ std::vector<std::byte> run_task(const WorkerTask& task) {
       static_cast<index_t>(task.bins.size()),
       [&](index_t i) {
         done[static_cast<std::size_t>(i)] =
-            symm::execute_bin(task.bins[static_cast<std::size_t>(i)], task.spec,
+            symm::execute_bin(task.bins[static_cast<std::size_t>(i)], task.lowering,
                               task.collect_ops);
       },
       task.threads);
@@ -478,7 +478,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
         static_cast<index_t>(mine.size()),
         [&](index_t i) {
           const std::size_t g = mine[static_cast<std::size_t>(i)];
-          done[g] = symm::execute_bin(bins[g], plan.spec, collect_ops);
+          done[g] = symm::execute_bin(bins[g], plan.lowering, collect_ops);
         },
         opts_.root_threads);
     d.ranks[0].busy_seconds = busy.seconds();
@@ -597,7 +597,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
           static_cast<index_t>(makeup.size()),
           [&](index_t i) {
             const std::size_t g = makeup[static_cast<std::size_t>(i)];
-            done[g] = symm::execute_bin(bins[g], plan.spec, collect_ops);
+            done[g] = symm::execute_bin(bins[g], plan.lowering, collect_ops);
           },
           opts_.root_threads);
       d.recovery_seconds += rec.seconds();

@@ -5,7 +5,6 @@
 
 #include "runtime/trace.hpp"
 #include "support/thread_pool.hpp"
-#include "tensor/einsum.hpp"
 
 namespace tt::symm {
 
@@ -55,6 +54,7 @@ ContractPlan make_contract_plan(const BlockTensor& a, const BlockTensor& b,
   for (int m : plan.free_a) lc.push_back(la[static_cast<std::size_t>(m)]);
   for (int m : plan.free_b) lc.push_back(lb[static_cast<std::size_t>(m)]);
   plan.spec = la + "," + lb + "->" + lc;
+  plan.lowering = tensor::lower_einsum(plan.spec);
   return plan;
 }
 
@@ -117,28 +117,29 @@ std::vector<OutputBin> enumerate_bins(const BlockTensor& a, const BlockTensor& b
   return bins;
 }
 
-BinExecution execute_bin(const OutputBin& bin, const std::string& spec,
-                         bool collect_ops) {
+BinExecution execute_bin(const OutputBin& bin,
+                         const tensor::EinsumLowering& lowering, bool collect_ops) {
+  TT_CHECK(lowering.c_identity,
+           "execute_bin needs a lowering whose output is in GEMM order");
   BinExecution out;
-  bool first = true;
+  if (bin.pairs.empty()) return out;
+  const BinPair& first = bin.pairs.front();
+  out.result = tensor::DenseTensor(
+      tensor::gemm_output_shape(lowering, first.ablk->shape(), first.bblk->shape()));
+  if (collect_ops) out.ops.reserve(bin.pairs.size());
   for (const BinPair& pw : bin.pairs) {
     tensor::EinsumStats es;
-    tensor::DenseTensor cblk = tensor::einsum(spec, *pw.ablk, *pw.bblk, &es);
-    if (first) {
-      out.result = std::move(cblk);
-      first = false;
-    } else {
-      out.result.axpy(1.0, cblk);
-    }
-
-    BlockOpCost op;
-    op.flops = es.flops;
-    op.words_a = static_cast<double>(pw.ablk->size());
-    op.words_b = static_cast<double>(pw.bblk->size());
-    op.words_c = static_cast<double>(es.m) * static_cast<double>(es.n);
+    tensor::einsum_accumulate(lowering, *pw.ablk, *pw.bblk, out.result, &es);
     out.flops += es.flops;
     out.permuted_words += es.permuted_words;
-    if (collect_ops) out.ops.push_back(op);
+    if (collect_ops) {
+      BlockOpCost op;
+      op.flops = es.flops;
+      op.words_a = static_cast<double>(pw.ablk->size());
+      op.words_b = static_cast<double>(pw.bblk->size());
+      op.words_c = static_cast<double>(es.m) * static_cast<double>(es.n);
+      out.ops.push_back(op);
+    }
   }
   return out;
 }
@@ -159,7 +160,7 @@ BlockTensor contract(const BlockTensor& a, const BlockTensor& b,
       [&](index_t bi) {
         TT_TRACE_SPAN("symm.bin", rt::TraceCat::kContract);
         done[static_cast<std::size_t>(bi)] = execute_bin(
-            bins[static_cast<std::size_t>(bi)], plan.spec, collect_ops);
+            bins[static_cast<std::size_t>(bi)], plan.lowering, collect_ops);
       },
       opts.num_threads);
 

@@ -5,6 +5,11 @@
 // output block keyed by the remaining labels. Per-block-pair costs are
 // reported so the list engine can charge the Table II cost model block-wise.
 //
+// The einsum is lowered once per contraction (ContractPlan::lowering); each
+// bin allocates its output block once and runs every pair's GEMM straight
+// into it (tensor::einsum_accumulate, beta = 1) — no per-pair temporary, no
+// axpy, and operand permutes land in reused per-thread scratch.
+//
 // Execution is thread-parallel: the block-pair list is binned by output block
 // key, bins run concurrently on the shared work-stealing pool
 // (support/thread_pool.hpp, TT_THREADS knob), and each bin accumulates its
@@ -18,6 +23,7 @@
 #include <vector>
 
 #include "symm/block_tensor.hpp"
+#include "tensor/einsum.hpp"
 
 namespace tt::symm {
 
@@ -51,6 +57,7 @@ struct ContractPlan {
   std::vector<Index> out_indices;       ///< free(a) then free(b)
   QN out_flux;                          ///< flux(a) + flux(b)
   std::string spec;                     ///< einsum spec usable on fused tensors
+  tensor::EinsumLowering lowering;      ///< `spec` lowered once, for every block pair
 };
 
 /// Validate the contraction pattern and derive the output structure.
@@ -96,10 +103,13 @@ struct BinExecution {
   double permuted_words = 0.0;
 };
 
-/// Contract every pair of `bin` in pair order, accumulating into one output
-/// block. Deterministic: one thread, fixed order — callers parallelize
-/// *across* bins.
-BinExecution execute_bin(const OutputBin& bin, const std::string& spec, bool collect_ops);
+/// Contract every pair of `bin` in pair order, accumulating in place into one
+/// output block allocated once. `lowering` is the contraction's lowered spec
+/// (its output order must be the GEMM order, as make_contract_plan's is).
+/// Deterministic: one thread, fixed order — callers parallelize *across*
+/// bins.
+BinExecution execute_bin(const OutputBin& bin,
+                         const tensor::EinsumLowering& lowering, bool collect_ops);
 
 /// Contract `a` with `b` over the given (modeA, modeB) pairs. Contracted leg
 /// pairs must be contractible (equal sector lists, opposite directions).

@@ -1,6 +1,7 @@
 #include "tensor/dense.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 
@@ -127,69 +128,55 @@ void permute_into(const DenseTensor& in, std::span<const int> perm,
     }
   }
   TT_CHECK(out.size() == in.size(), "permute output size mismatch");
+  permute_into(in.data(), in.shape(), perm, out.data());
+}
 
-  if (r == 0) {
-    out[0] = in[0];
-    return;
-  }
+void permute_into(const real_t* in, std::span<const index_t> in_shape,
+                  std::span<const int> perm, real_t* out) {
+  const std::size_t r = perm.size();
+  TT_ASSERT(r == in_shape.size() && r <= static_cast<std::size_t>(kMaxPermuteOrder),
+            "permutation order " << r << " unsupported (max " << kMaxPermuteOrder << ")");
+  index_t total = 1;
+  for (index_t d : in_shape) total *= d;
+  if (total == 0) return;
 
-  // Identity permutation: straight copy.
   bool identity = true;
-  for (int i = 0; i < r; ++i)
-    if (perm[static_cast<std::size_t>(i)] != i) identity = false;
-  if (identity) {
-    std::copy(in.data(), in.data() + in.size(), out.data());
+  for (std::size_t i = 0; i < r; ++i)
+    if (perm[i] != static_cast<int>(i)) identity = false;
+  if (identity) {  // also covers order 0 (one scalar element)
+    std::copy(in, in + total, out);
     return;
   }
 
-  // in-stride of each *output* mode.
-  const std::vector<index_t> in_strides = in.strides();
-  std::vector<index_t> src_stride(static_cast<std::size_t>(r));
-  std::vector<index_t> out_shape(static_cast<std::size_t>(r));
-  for (int i = 0; i < r; ++i) {
-    src_stride[static_cast<std::size_t>(i)] =
-        in_strides[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)])];
-    out_shape[static_cast<std::size_t>(i)] = in.dim(perm[static_cast<std::size_t>(i)]);
+  // Per output mode: its extent and the source stride it advances by.
+  std::array<index_t, kMaxPermuteOrder> in_stride{}, src_stride{}, dims{}, odo{};
+  in_stride[r - 1] = 1;
+  for (std::size_t i = r - 1; i > 0; --i) in_stride[i - 1] = in_stride[i] * in_shape[i];
+  for (std::size_t i = 0; i < r; ++i) {
+    const auto from = static_cast<std::size_t>(perm[i]);
+    src_stride[i] = in_stride[from];
+    dims[i] = in_shape[from];
   }
 
-  const index_t d0 = out_shape[0];
-  const index_t inner = in.size() / std::max<index_t>(d0, 1);
-  const index_t s0 = src_stride[0];
-  const real_t* src = in.data();
-  real_t* dst = out.data();
-
-  // Walk output in row-major order; per slice of the leading output mode an
-  // odometer tracks the source offset of the remaining modes. The innermost
-  // output mode advances by a fixed source stride, which vectorizes when that
-  // stride is 1.
-  const index_t last_stride = src_stride[static_cast<std::size_t>(r - 1)];
-  const index_t last_dim = out_shape[static_cast<std::size_t>(r - 1)];
-
-  for (index_t i0 = 0; i0 < d0; ++i0) {
-    std::vector<index_t> odo(static_cast<std::size_t>(r), 0);
-    odo[0] = i0;
-    index_t src_off = i0 * s0;
-    real_t* d = dst + i0 * inner;
-    index_t written = 0;
-    while (written < inner) {
-      const real_t* s = src + src_off;
-      if (last_stride == 1) {
-        std::copy(s, s + last_dim, d + written);
-      } else {
-        for (index_t j = 0; j < last_dim; ++j) d[written + j] = s[j * last_stride];
-      }
-      written += last_dim;
-      // Advance the odometer over modes r-2 .. 1.
-      int m = r - 2;
-      while (m >= 1) {
-        const auto mi = static_cast<std::size_t>(m);
-        src_off += src_stride[mi];
-        if (++odo[mi] < out_shape[mi]) break;
-        src_off -= out_shape[mi] * src_stride[mi];
-        odo[mi] = 0;
-        --m;
-      }
-      if (m < 1) break;  // finished this i0 slice
+  // Walk the output in row-major order, one innermost run at a time; an
+  // odometer over the outer output modes tracks the source offset. The run
+  // advances by a fixed source stride and vectorizes when that stride is 1.
+  const index_t run = dims[r - 1];
+  const index_t run_stride = src_stride[r - 1];
+  index_t src_off = 0;
+  for (index_t written = 0; written < total; written += run) {
+    const real_t* s = in + src_off;
+    real_t* d = out + written;
+    if (run_stride == 1) {
+      std::copy(s, s + run, d);
+    } else {
+      for (index_t j = 0; j < run; ++j) d[j] = s[j * run_stride];
+    }
+    for (std::size_t m = r - 1; m-- > 0;) {
+      src_off += src_stride[m];
+      if (++odo[m] < dims[m]) break;
+      src_off -= dims[m] * src_stride[m];
+      odo[m] = 0;
     }
   }
 }

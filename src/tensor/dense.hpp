@@ -1,4 +1,4 @@
-// Dense tensor with row-major storage and parallel index permutation.
+// Dense tensor with row-major storage and index permutation.
 //
 // The permutation kernel is the local stand-in for the HPTT library the paper
 // uses inside Cyclops: contractions lower to permute → GEMM → permute.
@@ -82,9 +82,20 @@ real_t dot(const DenseTensor& a, const DenseTensor& b);
 /// Max elementwise |a - b|.
 real_t max_abs_diff(const DenseTensor& a, const DenseTensor& b);
 
-/// Parallel permutation into a preallocated output (HPTT stand-in).
+/// Largest tensor order the permutation kernel accepts.
+inline constexpr int kMaxPermuteOrder = 16;
+
+/// Permutation into a preallocated output (HPTT stand-in); validates `perm`
+/// and the output size.
 /// perm maps output modes to input modes: out_idx[i] = in_idx[perm[i]].
 void permute_into(const DenseTensor& in, std::span<const int> perm,
                   DenseTensor& out);
+
+/// The permutation kernel on raw row-major buffers: `in` has shape
+/// `in_shape`, `out` receives the permuted tensor. Only the order bound
+/// (<= kMaxPermuteOrder) is checked: the caller validates `perm`, and the
+/// buffers must not overlap. Allocates nothing.
+void permute_into(const real_t* in, std::span<const index_t> in_shape,
+                  std::span<const int> perm, real_t* out);
 
 }  // namespace tt::tensor

@@ -23,74 +23,39 @@ void check_unique_labels(const std::string& s, const char* which) {
                                                 << " operand (traces unsupported)");
 }
 
-// Classified contraction plan shared by all kernels.
-struct Plan {
-  std::vector<int> free_a, con_a;  // mode positions within A
-  std::vector<int> con_b, free_b;  // mode positions within B (con_b parallel to con_a)
-  std::vector<int> cperm;          // tmp [free_a, free_b] -> C mode order
-  std::vector<index_t> tmp_shape;
+// Shape-dependent half of the plan: the matricized GEMM dims, with the
+// operand orders and contracted extents checked against the lowering.
+struct GemmDims {
   index_t m = 1, n = 1, k = 1;
-  bool cperm_identity = true;
 };
 
-Plan make_plan(const EinsumSpec& spec, const std::vector<index_t>& sa,
-               const std::vector<index_t>& sb) {
-  TT_CHECK(spec.a.size() == sa.size(), "einsum: spec '" << spec.a << "' does not match order "
-                                                        << sa.size() << " of first operand");
-  TT_CHECK(spec.b.size() == sb.size(), "einsum: spec '" << spec.b << "' does not match order "
-                                                        << sb.size() << " of second operand");
-  Plan p;
-  p.free_a.reserve(spec.a.size());
-  p.con_a.reserve(spec.a.size());
-  p.con_b.reserve(spec.a.size());
-  p.free_b.reserve(spec.b.size());
-  std::string tmp_labels;
-  tmp_labels.reserve(spec.c.size());
-  for (std::size_t i = 0; i < spec.a.size(); ++i) {
-    const char l = spec.a[i];
-    const bool in_b = contains_char(spec.b, l);
-    const bool in_c = contains_char(spec.c, l);
-    TT_CHECK(in_b != in_c, "einsum label '" << l << "' must appear in exactly one of the "
-                                            << "second operand or the output");
-    if (in_c) {
-      p.free_a.push_back(static_cast<int>(i));
-      tmp_labels.push_back(l);
-      p.m *= sa[i];
-    } else {
-      p.con_a.push_back(static_cast<int>(i));
-      const auto jb = spec.b.find(l);
-      p.con_b.push_back(static_cast<int>(jb));
-      TT_CHECK(sa[i] == sb[jb], "einsum dimension mismatch on label '"
-                                    << l << "': " << sa[i] << " vs " << sb[jb]);
-      p.k *= sa[i];
-    }
+GemmDims gemm_dims(const EinsumLowering& low, const std::vector<index_t>& sa,
+                   const std::vector<index_t>& sb) {
+  TT_CHECK(low.perm_a.size() == sa.size(),
+           "einsum: spec expects order " << low.perm_a.size()
+                                         << " for the first operand, got " << sa.size());
+  TT_CHECK(low.perm_b.size() == sb.size(),
+           "einsum: spec expects order " << low.perm_b.size()
+                                         << " for the second operand, got " << sb.size());
+  GemmDims d;
+  for (int mode : low.free_a) d.m *= sa[static_cast<std::size_t>(mode)];
+  for (int mode : low.free_b) d.n *= sb[static_cast<std::size_t>(mode)];
+  for (std::size_t t = 0; t < low.con_a.size(); ++t) {
+    const index_t da = sa[static_cast<std::size_t>(low.con_a[t])];
+    const index_t db = sb[static_cast<std::size_t>(low.con_b[t])];
+    TT_CHECK(da == db, "einsum dimension mismatch on contracted mode pair ("
+                           << low.con_a[t] << "," << low.con_b[t] << "): " << da << " vs "
+                           << db);
+    d.k *= da;
   }
-  for (std::size_t i = 0; i < spec.b.size(); ++i) {
-    const char l = spec.b[i];
-    const bool in_a = contains_char(spec.a, l);
-    const bool in_c = contains_char(spec.c, l);
-    if (in_a) continue;  // contracted, already planned
-    TT_CHECK(in_c, "einsum label '" << l << "' of the second operand is neither "
-                                    << "contracted nor in the output");
-    p.free_b.push_back(static_cast<int>(i));
-    tmp_labels.push_back(l);
-    p.n *= sb[i];
-  }
-  TT_CHECK(spec.c.size() == tmp_labels.size(),
-           "einsum output '" << spec.c << "' does not cover the free labels '" << tmp_labels
-                             << "'");
-  for (char l : spec.c)
-    TT_CHECK(contains_char(tmp_labels, l), "einsum output label '" << l
-                                                                   << "' not produced by inputs");
-  p.tmp_shape.reserve(tmp_labels.size());
-  for (int mode : p.free_a) p.tmp_shape.push_back(sa[static_cast<std::size_t>(mode)]);
-  for (int mode : p.free_b) p.tmp_shape.push_back(sb[static_cast<std::size_t>(mode)]);
-  p.cperm.resize(spec.c.size());
-  for (std::size_t i = 0; i < spec.c.size(); ++i) {
-    p.cperm[i] = static_cast<int>(tmp_labels.find(spec.c[i]));
-    if (p.cperm[i] != static_cast<int>(i)) p.cperm_identity = false;
-  }
-  return p;
+  return d;
+}
+
+// Concatenation of two mode lists (the matricized [rows, cols] orders).
+std::vector<int> concat(const std::vector<int>& x, const std::vector<int>& y) {
+  std::vector<int> out = x;
+  out.insert(out.end(), y.begin(), y.end());
+  return out;
 }
 
 bool is_identity(const std::vector<int>& perm) {
@@ -193,66 +158,155 @@ EinsumSpec EinsumSpec::parse(const std::string& spec) {
   return out;
 }
 
-// Concatenation of two mode lists (the matricized [rows, cols] orders).
-std::vector<int> concat(const std::vector<int>& x, const std::vector<int>& y) {
-  std::vector<int> out = x;
-  out.insert(out.end(), y.begin(), y.end());
-  return out;
+EinsumLowering lower_einsum(const EinsumSpec& spec) {
+  EinsumLowering low;
+  std::string tmp_labels;  // GEMM output order: free(A) then free(B)
+  for (std::size_t i = 0; i < spec.a.size(); ++i) {
+    const char l = spec.a[i];
+    const bool in_b = contains_char(spec.b, l);
+    const bool in_c = contains_char(spec.c, l);
+    TT_CHECK(in_b != in_c, "einsum label '" << l << "' must appear in exactly one of the "
+                                            << "second operand or the output");
+    if (in_c) {
+      low.free_a.push_back(static_cast<int>(i));
+      tmp_labels.push_back(l);
+    } else {
+      low.con_a.push_back(static_cast<int>(i));
+      low.con_b.push_back(static_cast<int>(spec.b.find(l)));
+    }
+  }
+  for (std::size_t i = 0; i < spec.b.size(); ++i) {
+    const char l = spec.b[i];
+    if (contains_char(spec.a, l)) continue;  // contracted, already lowered
+    TT_CHECK(contains_char(spec.c, l), "einsum label '"
+                                           << l << "' of the second operand is neither "
+                                           << "contracted nor in the output");
+    low.free_b.push_back(static_cast<int>(i));
+    tmp_labels.push_back(l);
+  }
+  TT_CHECK(spec.c.size() == tmp_labels.size(),
+           "einsum output '" << spec.c << "' does not cover the free labels '"
+                             << tmp_labels << "'");
+  low.perm_c.resize(spec.c.size());
+  for (std::size_t i = 0; i < spec.c.size(); ++i) {
+    const auto pos = tmp_labels.find(spec.c[i]);
+    TT_CHECK(pos != std::string::npos,
+             "einsum output label '" << spec.c[i] << "' not produced by inputs");
+    low.perm_c[i] = static_cast<int>(pos);
+  }
+  low.c_identity = is_identity(low.perm_c);
+
+  // Operand routes: when an operand already stores its two groups contiguous
+  // and in order — directly or with the groups swapped — GEMM takes the
+  // buffer as-is with the matching trans flag instead of a permuted copy.
+  low.perm_a = concat(low.free_a, low.con_a);
+  low.perm_b = concat(low.con_b, low.free_b);
+  if (is_identity(low.perm_a))
+    low.route_a = OperandRoute::kAsIs;
+  else if (is_identity(concat(low.con_a, low.free_a)))
+    low.route_a = OperandRoute::kTranspose;  // stored op(A)ᵀ = [con_a, free_a]
+  else
+    low.route_a = OperandRoute::kPermute;
+  if (is_identity(low.perm_b))
+    low.route_b = OperandRoute::kAsIs;
+  else if (is_identity(concat(low.free_b, low.con_b)))
+    low.route_b = OperandRoute::kTranspose;  // stored op(B)ᵀ = [free_b, con_b]
+  else
+    low.route_b = OperandRoute::kPermute;
+  return low;
 }
 
-DenseTensor einsum(const std::string& spec_str, const DenseTensor& a,
-                   const DenseTensor& b, EinsumStats* stats) {
-  const EinsumSpec spec = EinsumSpec::parse(spec_str);
-  const Plan p = make_plan(spec, a.shape(), b.shape());
+EinsumLowering lower_einsum(const std::string& spec) {
+  return lower_einsum(EinsumSpec::parse(spec));
+}
 
-  // Operand lowering: GEMM wants op(A) = [free_a, con_a] and op(B) =
-  // [con_b, free_b]. When an operand already stores those groups contiguous
-  // and in order — either directly or with the two groups swapped — hand GEMM
-  // the buffer as-is with the matching trans flag instead of materializing a
-  // permuted copy (the packed kernel and dgemm absorb transposes for free).
-  double permuted = 0.0;
-  bool transa = false, transb = false;
-  const DenseTensor* ap = &a;
-  const DenseTensor* bp = &b;
-  DenseTensor a_work, b_work;
-  if (is_identity(concat(p.free_a, p.con_a))) {
-    // already op(A); nothing to do
-  } else if (is_identity(concat(p.con_a, p.free_a))) {
-    transa = true;  // physical layout is op(A)ᵀ = [con_a, free_a]
+std::vector<index_t> gemm_output_shape(const EinsumLowering& low,
+                                       const std::vector<index_t>& sa,
+                                       const std::vector<index_t>& sb) {
+  std::vector<index_t> shape;
+  shape.reserve(low.free_a.size() + low.free_b.size());
+  for (int mode : low.free_a) shape.push_back(sa[static_cast<std::size_t>(mode)]);
+  for (int mode : low.free_b) shape.push_back(sb[static_cast<std::size_t>(mode)]);
+  return shape;
+}
+
+namespace {
+
+// Per-thread operand scratch for kPermute routes (one buffer per operand
+// slot). A buffer grows to the largest operand its thread has permuted, up to
+// kRetainWords (2 MB); a larger operand gets a one-off buffer released on
+// return, so the scratch a thread keeps stays bounded.
+constexpr std::size_t kRetainWords = std::size_t{1} << 18;
+
+struct PermuteScratch {
+  std::vector<real_t> kept[2];
+};
+
+const real_t* permuted_operand(const DenseTensor& x, const std::vector<int>& perm,
+                               int slot, std::vector<real_t>& oneoff) {
+  thread_local PermuteScratch scratch;
+  const auto words = static_cast<std::size_t>(x.size());
+  std::vector<real_t>* buf = &oneoff;
+  if (words <= kRetainWords) {
+    buf = &scratch.kept[slot];
+    if (buf->size() < words) buf->resize(words);
   } else {
-    a_work = a.permuted(concat(p.free_a, p.con_a));
-    ap = &a_work;
+    buf->resize(words);
+  }
+  permute_into(x.data(), x.shape(), perm, buf->data());
+  return buf->data();
+}
+
+}  // namespace
+
+void einsum_accumulate(const EinsumLowering& low, const DenseTensor& a,
+                       const DenseTensor& b, DenseTensor& c, EinsumStats* stats) {
+  const GemmDims d = gemm_dims(low, a.shape(), b.shape());
+  const std::size_t nfa = low.free_a.size();
+  TT_CHECK(c.order() == static_cast<int>(nfa + low.free_b.size()),
+           "einsum_accumulate: output has order "
+               << c.order() << ", expected " << nfa + low.free_b.size());
+  for (std::size_t i = 0; i < nfa; ++i)
+    TT_CHECK(c.dim(static_cast<int>(i)) == a.dim(low.free_a[i]),
+             "einsum_accumulate: output mode " << i << " does not match operand A");
+  for (std::size_t i = 0; i < low.free_b.size(); ++i)
+    TT_CHECK(c.dim(static_cast<int>(nfa + i)) == b.dim(low.free_b[i]),
+             "einsum_accumulate: output mode " << nfa + i << " does not match operand B");
+
+  double permuted = 0.0;
+  std::vector<real_t> oneoff_a, oneoff_b;  // stay empty unless an operand is huge
+  const real_t* ap = a.data();
+  const real_t* bp = b.data();
+  if (low.route_a == OperandRoute::kPermute) {
+    ap = permuted_operand(a, low.perm_a, 0, oneoff_a);
     permuted += static_cast<double>(a.size());
   }
-  if (is_identity(concat(p.con_b, p.free_b))) {
-    // already op(B)
-  } else if (is_identity(concat(p.free_b, p.con_b))) {
-    transb = true;  // physical layout is op(B)ᵀ = [free_b, con_b]
-  } else {
-    b_work = b.permuted(concat(p.con_b, p.free_b));
-    bp = &b_work;
+  if (low.route_b == OperandRoute::kPermute) {
+    bp = permuted_operand(b, low.perm_b, 1, oneoff_b);
     permuted += static_cast<double>(b.size());
   }
+  const bool transa = low.route_a == OperandRoute::kTranspose;
+  const bool transb = low.route_b == OperandRoute::kTranspose;
+  linalg::gemm_raw(transa, transb, d.m, d.n, d.k, 1.0, ap, bp, 1.0, c.data());
 
-  DenseTensor tmp(p.tmp_shape);
-  linalg::gemm_raw(transa, transb, p.m, p.n, p.k, 1.0, ap->data(), bp->data(),
-                   0.0, tmp.data());
-
-  DenseTensor out;
-  if (p.cperm_identity) {
-    out = std::move(tmp);
-  } else {
-    out = tmp.permuted(p.cperm);
-    permuted += static_cast<double>(out.size());
-  }
   if (stats) {
-    stats->flops += linalg::gemm_flops(p.m, p.n, p.k);
+    stats->flops += linalg::gemm_flops(d.m, d.n, d.k);
     stats->permuted_words += permuted;
     stats->lowered_transposes += (transa ? 1 : 0) + (transb ? 1 : 0);
-    stats->m = p.m;
-    stats->n = p.n;
-    stats->k = p.k;
+    stats->m = d.m;
+    stats->n = d.n;
+    stats->k = d.k;
   }
+}
+
+DenseTensor einsum(const std::string& spec, const DenseTensor& a, const DenseTensor& b,
+                   EinsumStats* stats) {
+  const EinsumLowering low = lower_einsum(spec);
+  DenseTensor tmp(gemm_output_shape(low, a.shape(), b.shape()));
+  einsum_accumulate(low, a, b, tmp, stats);
+  if (low.c_identity) return tmp;
+  DenseTensor out = tmp.permuted(low.perm_c);
+  if (stats) stats->permuted_words += static_cast<double>(out.size());
   return out;
 }
 
@@ -260,7 +314,8 @@ SparseTensor einsum_ss(const std::string& spec_str, const SparseTensor& a,
                        const SparseTensor& b, EinsumStats* stats,
                        const SparseTensor* out_mask) {
   const EinsumSpec spec = EinsumSpec::parse(spec_str);
-  const Plan p = make_plan(spec, a.shape(), b.shape());
+  const EinsumLowering p = lower_einsum(spec);
+  const GemmDims d = gemm_dims(p, a.shape(), b.shape());
   const std::vector<index_t> c_shape = shape_of_output(spec, a.shape(), b.shape());
   const std::vector<index_t> c_strides = strides_for(c_shape);
   if (out_mask)
@@ -354,9 +409,9 @@ SparseTensor einsum_ss(const std::string& spec_str, const SparseTensor& a,
   out.finalize();
   if (stats) {
     stats->flops += flops;
-    stats->m = p.m;
-    stats->n = p.n;
-    stats->k = p.k;
+    stats->m = d.m;
+    stats->n = d.n;
+    stats->k = d.k;
   }
   return out;
 }
@@ -364,16 +419,15 @@ SparseTensor einsum_ss(const std::string& spec_str, const SparseTensor& a,
 DenseTensor einsum_sd(const std::string& spec_str, const SparseTensor& a,
                       const DenseTensor& b, EinsumStats* stats) {
   const EinsumSpec spec = EinsumSpec::parse(spec_str);
-  const Plan p = make_plan(spec, a.shape(), b.shape());
+  const EinsumLowering p = lower_einsum(spec);
+  const GemmDims d = gemm_dims(p, a.shape(), b.shape());
 
   // Dense operand to [contracted, free_b] matrix form.
-  std::vector<int> pb = p.con_b;
-  pb.insert(pb.end(), p.free_b.begin(), p.free_b.end());
   const DenseTensor* bp = &b;
   DenseTensor b_work;
   double permuted = 0.0;
-  if (!is_identity(pb)) {
-    b_work = b.permuted(pb);
+  if (!is_identity(p.perm_b)) {
+    b_work = b.permuted(p.perm_b);
     bp = &b_work;
     permuted += static_cast<double>(b.size());
   }
@@ -404,8 +458,8 @@ DenseTensor einsum_sd(const std::string& spec_str, const SparseTensor& a,
     if (i == 0 || es[i].row != es[i - 1].row) starts.push_back(i);
   starts.push_back(es.size());
 
-  DenseTensor tmp(p.tmp_shape);
-  const index_t n = p.n;
+  DenseTensor tmp(gemm_output_shape(p, a.shape(), b.shape()));
+  const index_t n = d.n;
   double flops = 0.0;
   const std::size_t ngroups = starts.empty() ? 0 : starts.size() - 1;
   for (std::size_t gi = 0; gi < ngroups; ++gi) {
@@ -419,18 +473,18 @@ DenseTensor einsum_sd(const std::string& spec_str, const SparseTensor& a,
   }
 
   DenseTensor out;
-  if (p.cperm_identity) {
+  if (p.c_identity) {
     out = std::move(tmp);
   } else {
-    out = tmp.permuted(p.cperm);
+    out = tmp.permuted(p.perm_c);
     permuted += static_cast<double>(out.size());
   }
   if (stats) {
     stats->flops += flops;
     stats->permuted_words += permuted;
-    stats->m = p.m;
-    stats->n = p.n;
-    stats->k = p.k;
+    stats->m = d.m;
+    stats->n = d.n;
+    stats->k = d.k;
   }
   return out;
 }
@@ -438,16 +492,15 @@ DenseTensor einsum_sd(const std::string& spec_str, const SparseTensor& a,
 DenseTensor einsum_ds(const std::string& spec_str, const DenseTensor& a,
                       const SparseTensor& b, EinsumStats* stats) {
   const EinsumSpec spec = EinsumSpec::parse(spec_str);
-  const Plan p = make_plan(spec, a.shape(), b.shape());
+  const EinsumLowering p = lower_einsum(spec);
+  const GemmDims d = gemm_dims(p, a.shape(), b.shape());
 
   // Dense operand to [free_a, contracted] matrix form.
-  std::vector<int> pa = p.free_a;
-  pa.insert(pa.end(), p.con_a.begin(), p.con_a.end());
   const DenseTensor* apm = &a;
   DenseTensor a_work;
   double permuted = 0.0;
-  if (!is_identity(pa)) {
-    a_work = a.permuted(pa);
+  if (!is_identity(p.perm_a)) {
+    a_work = a.permuted(p.perm_a);
     apm = &a_work;
     permuted += static_cast<double>(a.size());
   }
@@ -479,8 +532,8 @@ DenseTensor einsum_ds(const std::string& spec_str, const DenseTensor& a,
     return x.key < y.key || (x.key == y.key && x.col < y.col);
   });
 
-  DenseTensor tmp(p.tmp_shape);
-  const index_t m = p.m, n = p.n, k = p.k;
+  DenseTensor tmp(gemm_output_shape(p, a.shape(), b.shape()));
+  const index_t m = d.m, n = d.n, k = d.k;
   double flops = 0.0;
   for (index_t r = 0; r < m; ++r) {
     const real_t* arow = apm->data() + r * k;
@@ -492,18 +545,18 @@ DenseTensor einsum_ds(const std::string& spec_str, const DenseTensor& a,
   }
 
   DenseTensor out;
-  if (p.cperm_identity) {
+  if (p.c_identity) {
     out = std::move(tmp);
   } else {
-    out = tmp.permuted(p.cperm);
+    out = tmp.permuted(p.perm_c);
     permuted += static_cast<double>(out.size());
   }
   if (stats) {
     stats->flops += flops;
     stats->permuted_words += permuted;
-    stats->m = p.m;
-    stats->n = p.n;
-    stats->k = p.k;
+    stats->m = d.m;
+    stats->n = d.n;
+    stats->k = d.k;
   }
   return out;
 }

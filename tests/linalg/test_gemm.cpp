@@ -215,4 +215,54 @@ TEST(Gemm, BuiltinBitwiseDeterministicAcrossThreadCounts) {
   tt::linalg::set_backend(saved);
 }
 
+TEST(Gemm, BuiltinPackScratchReuseIsBitwiseStable) {
+  // The builtin GEMM keeps its pack buffers per thread and reuses them across
+  // calls. Walk one thread and then pool threads through large → small →
+  // large shapes (with transposed operands, and from inside a parallel_for
+  // region where the tile loop runs serially on pool threads): every result
+  // must be bitwise equal to the first call of the same product, so nothing a
+  // previous call left in the scratch can leak into a later one.
+  const std::string saved = tt::linalg::backend_name();
+  tt::linalg::set_backend("builtin");
+  struct Product {
+    bool ta, tb;
+    Matrix a, b;
+  };
+  Rng rng(78);
+  std::vector<Product> products;
+  for (auto [m, n, k, ta, tb] : {std::tuple<index_t, index_t, index_t, bool, bool>{
+                                     300, 270, 300, false, false},
+                                 {5, 3, 7, false, false},
+                                 {290, 260, 520, true, false},
+                                 {9, 17, 3, true, true},
+                                 {260, 300, 270, false, true}}) {
+    products.push_back({ta, tb, Matrix::random(ta ? k : m, ta ? m : k, rng),
+                        Matrix::random(tb ? n : k, tb ? k : n, rng)});
+  }
+  auto run = [](const Product& p) { return tt::linalg::matmul(p.ta, p.tb, p.a, p.b); };
+
+  tt::support::set_num_threads(1);
+  std::vector<Matrix> first;
+  for (const Product& p : products) first.push_back(run(p));
+  for (int threads : {1, 2, 8}) {
+    tt::support::set_num_threads(threads);
+    for (int pass = 0; pass < 2; ++pass)
+      for (std::size_t i = 0; i < products.size(); ++i)
+        EXPECT_TRUE(run(products[i]) == first[i])
+            << "threads " << threads << " product " << i;
+    // Inside a pool region: every pool thread uses its own scratch.
+    const auto n = static_cast<index_t>(products.size());
+    std::vector<char> ok(static_cast<std::size_t>(2 * n), 0);
+    tt::support::parallel_for(2 * n, [&](index_t t) {
+      const auto i = static_cast<std::size_t>(t % n);
+      ok[static_cast<std::size_t>(t)] = run(products[i]) == first[i] ? 1 : 0;
+    });
+    for (index_t t = 0; t < 2 * n; ++t)
+      EXPECT_TRUE(ok[static_cast<std::size_t>(t)])
+          << "threads " << threads << " region task " << t;
+  }
+  tt::support::set_num_threads(0);
+  tt::linalg::set_backend(saved);
+}
+
 }  // namespace

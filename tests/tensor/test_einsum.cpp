@@ -65,7 +65,9 @@ INSTANTIATE_TEST_SUITE_P(
         Case{"ak,bk->ab", {5, 7}, {6, 7}},
         Case{"ak,bck->abc", {5, 7}, {3, 4, 7}},
         // ... and both at once, multi-mode contracted group
-        Case{"klab,cdkl->abcd", {3, 2, 4, 5}, {2, 3, 3, 2}}));
+        Case{"klab,cdkl->abcd", {3, 2, 4, 5}, {2, 3, 3, 2}},
+        // permuted operand above the per-thread scratch cap (2^18 words)
+        Case{"akb,kc->abc", {70, 64, 60}, {64, 3}}));
 
 TEST(Einsum, StatsReportGemmDims) {
   Rng rng(1);
