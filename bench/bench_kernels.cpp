@@ -1,8 +1,8 @@
 // Google-benchmark microbenches for the computational substrates: GEMM,
 // tensor permutation (HPTT stand-in), einsum contraction (dense and sparse),
-// SVD, block-sparse contraction (Alg. 2) and one Davidson matvec. These
-// measure real host throughput — the numbers behind the wall-clock columns of
-// the figure benches.
+// SVD, block-sparse contraction (Alg. 2), one Davidson matvec and the
+// transport's frame checksum. These measure real host throughput — the
+// numbers behind the wall-clock columns of the figure benches.
 #include <benchmark/benchmark.h>
 
 #include "common.hpp"
@@ -19,6 +19,7 @@
 #include "models/electron.hpp"
 #include "models/hubbard.hpp"
 #include "models/lattice.hpp"
+#include "runtime/wire.hpp"
 
 namespace {
 
@@ -182,6 +183,19 @@ void BM_MatvecElectron(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatvecElectron)->Arg(32)->Arg(64)->Unit(benchmark::kMicrosecond);
+
+// The frame checksum every transported byte passes through twice (sender and
+// receiver): this layer's ceiling, in bytes/s. Arg is the buffer size in MB.
+void BM_WireChecksum(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0)) << 20;
+  std::vector<std::byte> buf(n);
+  Rng rng(3);
+  for (std::size_t i = 0; i < n; i += 4096)
+    buf[i] = static_cast<std::byte>(static_cast<unsigned char>(rng.integer(0, 255)));
+  for (auto _ : state) benchmark::DoNotOptimize(tt::rt::wire_checksum(buf.data(), n));
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_WireChecksum)->Arg(1)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

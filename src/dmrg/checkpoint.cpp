@@ -14,7 +14,10 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr int kSnapshotVersion = 1;
-constexpr int kManifestVersion = 1;
+// Version 2: the snapshot checksum became XXH64 (rt::wire_checksum). A
+// version-1 manifest holds an FNV-1a value, so it is refused by version
+// rather than reported as a corrupt snapshot.
+constexpr int kManifestVersion = 2;
 
 std::uint64_t checksum_of(const std::string& blob) {
   // tt-lint: allow(raw-cast-audit) read-only byte view of an already-serialized blob for checksumming; no object is reinterpreted

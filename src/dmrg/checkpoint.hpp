@@ -3,7 +3,7 @@
 // A CheckpointManager owns a directory holding numbered snapshots plus one
 // MANIFEST naming the latest complete snapshot:
 //
-//   MANIFEST            "TTCKPT-MANIFEST 1\n<seq> <file> <checksum> <bytes>\n"
+//   MANIFEST            "TTCKPT-MANIFEST 2\n<seq> <file> <checksum> <bytes>\n"
 //   ckpt_<seq>.tt       "TTCKPT 1" header, sweep position, energy history,
 //                       then the full MPS as an embedded TTMPS-v1 stream
 //                       (hexfloat doubles — bitwise-exact round trip)

@@ -1,5 +1,6 @@
 #include "mps/io.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -14,6 +15,28 @@ using symm::Dir;
 using symm::Index;
 using symm::QN;
 
+// Largest sector dimension a stream may declare. Real bonds are far smaller;
+// the cap keeps every sum and product of dimensions inside index_t.
+constexpr index_t kMaxSectorDim = (index_t{1} << 31) - 1;
+
+// Largest |charge| and tensor order a stream may declare: together they keep
+// every charge sum of a block key inside int.
+constexpr int kMaxCharge = 1 << 24;
+constexpr int kMaxOrder = 64;
+
+// Bytes left in the stream: no stored block can hold more values than that,
+// since every value takes several characters. Unbounded when the stream
+// cannot seek.
+std::uint64_t bytes_left(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  if (here == std::istream::pos_type(-1)) return UINT64_MAX;
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(here);
+  if (end == std::istream::pos_type(-1) || end < here) return UINT64_MAX;
+  return static_cast<std::uint64_t>(end - here);
+}
+
 void write_qn(std::ostream& os, const QN& q) {
   os << q.rank();
   for (int c = 0; c < q.rank(); ++c) os << " " << q[c];
@@ -27,9 +50,11 @@ QN read_qn(std::istream& is) {
   int q0 = 0, q1 = 0;
   is >> q0;
   TT_CHECK(is, "truncated stream inside QN charges");
+  TT_CHECK(q0 >= -kMaxCharge && q0 <= kMaxCharge, "corrupt QN charge " << q0);
   if (rank == 1) return QN(q0);
   is >> q1;
   TT_CHECK(is, "truncated stream inside QN charges");
+  TT_CHECK(q1 >= -kMaxCharge && q1 <= kMaxCharge, "corrupt QN charge " << q1);
   return QN(q0, q1);
 }
 
@@ -53,7 +78,7 @@ Index read_index(std::istream& is) {
     QN q = read_qn(is);
     index_t dim = 0;
     is >> dim;
-    TT_CHECK(is && dim > 0, "corrupt index sector dimension");
+    TT_CHECK(is && dim > 0 && dim <= kMaxSectorDim, "corrupt index sector dimension");
     sectors.push_back({q, dim});
   }
   TT_CHECK(is, "corrupt index sectors");
@@ -81,7 +106,8 @@ BlockTensor read_block_tensor(std::istream& is) {
   std::string tag;
   int order = 0;
   is >> tag >> order;
-  TT_CHECK(is && tag == "TENSOR" && order >= 0, "corrupt tensor header");
+  TT_CHECK(is && tag == "TENSOR" && order >= 0 && order <= kMaxOrder,
+           "corrupt tensor header");
   QN flux = read_qn(is);
   std::vector<Index> indices;
   for (int m = 0; m < order; ++m) indices.push_back(read_index(is));
@@ -93,7 +119,17 @@ BlockTensor read_block_tensor(std::istream& is) {
     symm::BlockKey key(static_cast<std::size_t>(order));
     for (int m = 0; m < order; ++m) is >> key[static_cast<std::size_t>(m)];
     TT_CHECK(is, "corrupt block key");
-    tensor::DenseTensor& blk = t.block(key);  // validates conservation
+    TT_CHECK(t.key_allowed(key), "block key violates charge conservation");
+    // Bound the block by the stream before allocating it: a mutated
+    // dimension must not turn into a huge (or overflowing) allocation.
+    const std::uint64_t max_values = bytes_left(is) / 2;
+    std::uint64_t values = 1;
+    for (index_t d : t.block_shape(key)) {
+      TT_CHECK(static_cast<std::uint64_t>(d) <= max_values / values,
+               "block of stored tensor exceeds the stream's remaining bytes");
+      values *= static_cast<std::uint64_t>(d);
+    }
+    tensor::DenseTensor& blk = t.block(key);
     for (index_t i = 0; i < blk.size(); ++i) blk[i] = read_real_hex(is);
   }
   return t;

@@ -96,6 +96,14 @@ void MetricsRegistry::add_dist(const std::string& sec, const DistStats& d) {
   add(sec, "ranks", static_cast<double>(d.ranks.size()));
   add(sec, "contractions", static_cast<double>(d.contractions));
   add(sec, "comm_s", d.comm_seconds);
+  add(sec, "comm_checksum_s", d.checksum_seconds);
+  add(sec, "comm_syscall_s", d.syscall_seconds);
+  add(sec, "comm_wait_s", d.wait_seconds);
+  add(sec, "encode_s", d.encode_seconds);
+  add(sec, "decode_s", d.decode_seconds);
+  double worker_codec = 0.0;
+  for (const DistStats::Rank& r : d.ranks) worker_codec += r.codec_seconds;
+  add(sec, "worker_codec_s", worker_codec);
   add(sec, "critical_busy_s", d.critical_busy_seconds);
   add(sec, "imbalance_s", d.imbalance_seconds);
   add(sec, "recovery_s", d.recovery_seconds);

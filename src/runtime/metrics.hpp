@@ -52,8 +52,10 @@ class MetricsRegistry {
   /// pct.* keys for breakdown drift detection).
   void add_tracker(const std::string& section, const CostTracker& t);
 
-  /// Flatten measured distributed-run quantities (ranks, comm/imbalance/
-  /// recovery seconds, bytes, critical-path busy time).
+  /// Flatten measured distributed-run quantities (ranks, comm seconds and
+  /// their checksum/syscall/wait split, root encode/decode and summed worker
+  /// codec seconds, imbalance/recovery seconds, bytes, critical-path busy
+  /// time).
   void add_dist(const std::string& section, const DistStats& d);
 
   /// Flatten scheduler self-healing counters.

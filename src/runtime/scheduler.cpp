@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "runtime/fault.hpp"
+#include "runtime/task_frames.hpp"
 #include "runtime/trace.hpp"
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
@@ -33,80 +34,29 @@ constexpr std::uint32_t kTagTrace = 5;
 // kDefaultTimeoutSeconds.
 constexpr double kWorkerIdleTimeout = 3600.0;
 
-// Worker-side view of one task: operand block tables plus bins referencing
-// them by table index. Tensor storage is owned here; bins point into it.
-// The two fault flags are decided by the *root* (fault points
-// worker.kill_before_result / worker.fail_task) and shipped in the frame, so
-// their nth/count counters are exact in both spawn modes — a fork()ed
-// worker's own injector copy would count per-process.
-struct WorkerTask {
-  tensor::EinsumLowering lowering;  // the shipped spec, lowered once per task
-  int threads = 1;
-  bool collect_ops = false;
-  bool kill_before_result = false;
-  bool fail_task = false;
-  double timeout_seconds = kDefaultTimeoutSeconds;
-  std::vector<tensor::DenseTensor> table_a, table_b;
-  std::vector<std::uint64_t> bin_index;   // global bin ids, root's order
-  std::vector<symm::OutputBin> bins;      // keys unused (wire ships no keys)
+// A channel's transport counters before one frame, so the frame's share of
+// each can be charged to DistStats once the call has completed.
+struct TransportMarks {
+  explicit TransportMarks(const Channel& ch)
+      : bytes_sent(ch.bytes_sent()),
+        bytes_received(ch.bytes_received()),
+        comm(ch.send_seconds() + ch.recv_seconds()),
+        checksum(ch.checksum_seconds()),
+        syscall(ch.syscall_seconds()),
+        wait(ch.wait_seconds()) {}
+
+  void charge(const Channel& ch, DistStats& d) const {
+    d.comm_seconds += ch.send_seconds() + ch.recv_seconds() - comm;
+    d.checksum_seconds += ch.checksum_seconds() - checksum;
+    d.syscall_seconds += ch.syscall_seconds() - syscall;
+    d.wait_seconds += ch.wait_seconds() - wait;
+  }
+
+  double bytes_sent, bytes_received, comm, checksum, syscall, wait;
 };
 
-WorkerTask parse_task(const std::vector<std::byte>& payload) {
-  WireReader r(payload);
-  WorkerTask task;
-  task.lowering = tensor::lower_einsum(r.str());
-  task.threads = static_cast<int>(r.u32());
-  task.collect_ops = r.u32() != 0;
-  task.kill_before_result = r.u32() != 0;
-  task.fail_task = r.u32() != 0;
-  task.timeout_seconds = r.f64();
-
-  // Every element count below sizes an allocation, so bound it by what the
-  // frame could possibly hold (each table entry / bin / pair costs at least
-  // 8 bytes on the wire) before trusting it — a torn length prefix must
-  // surface as a clean Error, not a gigabyte reserve.
-  const std::uint64_t na = r.u64();
-  TT_CHECK(na <= r.remaining() / 8,
-           "task frame claims " << na << " A blocks in " << r.remaining() << " bytes");
-  task.table_a.reserve(static_cast<std::size_t>(na));
-  for (std::uint64_t i = 0; i < na; ++i) task.table_a.push_back(r.tensor());
-  const std::uint64_t nb = r.u64();
-  TT_CHECK(nb <= r.remaining() / 8,
-           "task frame claims " << nb << " B blocks in " << r.remaining() << " bytes");
-  task.table_b.reserve(static_cast<std::size_t>(nb));
-  for (std::uint64_t i = 0; i < nb; ++i) task.table_b.push_back(r.tensor());
-
-  const std::uint64_t nbins = r.u64();
-  TT_CHECK(nbins <= r.remaining() / 16,
-           "task frame claims " << nbins << " bins in " << r.remaining() << " bytes");
-  task.bin_index.reserve(static_cast<std::size_t>(nbins));
-  task.bins.reserve(static_cast<std::size_t>(nbins));
-  for (std::uint64_t i = 0; i < nbins; ++i) {
-    task.bin_index.push_back(r.u64());
-    symm::OutputBin bin;
-    const std::uint64_t npairs = r.u64();
-    TT_CHECK(npairs <= r.remaining() / 8,
-             "task bin claims " << npairs << " pairs in " << r.remaining() << " bytes");
-    bin.pairs.reserve(static_cast<std::size_t>(npairs));
-    for (std::uint64_t p = 0; p < npairs; ++p) {
-      const std::uint32_t ia = r.u32();
-      const std::uint32_t ib = r.u32();
-      TT_CHECK(ia < task.table_a.size() && ib < task.table_b.size(),
-               "task bin references block (" << ia << "," << ib
-                                             << ") outside the shipped tables");
-      symm::BinPair pw;  // keys are not shipped; execute_bin never reads them
-      pw.ablk = &task.table_a[ia];
-      pw.bblk = &task.table_b[ib];
-      bin.pairs.push_back(pw);
-    }
-    task.bins.push_back(std::move(bin));
-  }
-  TT_CHECK(r.done(), "task payload has " << r.remaining() << " trailing bytes");
-  return task;
-}
-
 // Executes one parsed task and serializes the reply payload.
-std::vector<std::byte> run_task(const WorkerTask& task) {
+std::vector<std::byte> run_task(const WorkerTask& task, double decode_seconds) {
   TT_TRACE_SPAN("sched.worker_task", TraceCat::kContract);
   std::vector<symm::BinExecution> done(task.bins.size());
   Timer busy;
@@ -118,26 +68,7 @@ std::vector<std::byte> run_task(const WorkerTask& task) {
                               task.collect_ops);
       },
       task.threads);
-  const double busy_seconds = busy.seconds();
-
-  WireWriter w;
-  w.f64(busy_seconds);
-  w.u64(done.size());
-  for (std::size_t i = 0; i < done.size(); ++i) {
-    const symm::BinExecution& bin = done[i];
-    w.u64(task.bin_index[i]);
-    w.f64(bin.flops);
-    w.f64(bin.permuted_words);
-    w.u64(bin.ops.size());
-    for (const symm::BlockOpCost& op : bin.ops) {
-      w.f64(op.flops);
-      w.f64(op.words_a);
-      w.f64(op.words_b);
-      w.f64(op.words_c);
-    }
-    w.tensor(bin.result);
-  }
-  return w.take();
+  return encode_result(task, busy.seconds(), done, decode_seconds);
 }
 
 // Worker service loop: one task in, one result (or error) out, until the
@@ -167,11 +98,16 @@ void worker_loop(int rank, Channel& ch) {
     if (f.tag != kTagTask) return;  // protocol violation: stop serving
     double timeout = kDefaultTimeoutSeconds;
     try {
-      const WorkerTask task = parse_task(f.payload);
+      const Timer decode;
+      const WorkerTask task = [&] {
+        TT_TRACE_SPAN("sched.decode", TraceCat::kScheduler);
+        return parse_task(f.payload);
+      }();
+      const double decode_seconds = decode.seconds();
       timeout = task.timeout_seconds;
       if (task.fail_task)
         TT_FAIL("fault injection: worker " << rank << " ordered to fail its task");
-      std::vector<std::byte> reply = run_task(task);
+      std::vector<std::byte> reply = run_task(task, decode_seconds);
       if (task.kill_before_result) {
         // Die after the work, before the result — the root observes EOF where
         // it expected a result frame, exactly like a real mid-contraction
@@ -227,9 +163,15 @@ void DistStats::merge(const DistStats& other) {
     ranks[i].busy_seconds += other.ranks[i].busy_seconds;
     ranks[i].bytes_sent += other.ranks[i].bytes_sent;
     ranks[i].bytes_received += other.ranks[i].bytes_received;
+    ranks[i].codec_seconds += other.ranks[i].codec_seconds;
   }
   contractions += other.contractions;
   comm_seconds += other.comm_seconds;
+  checksum_seconds += other.checksum_seconds;
+  syscall_seconds += other.syscall_seconds;
+  wait_seconds += other.wait_seconds;
+  encode_seconds += other.encode_seconds;
+  decode_seconds += other.decode_seconds;
   exchange_words += other.exchange_words;
   critical_busy_seconds += other.critical_busy_seconds;
   imbalance_seconds += other.imbalance_seconds;
@@ -390,70 +332,61 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
     for (int s = 1; s < S; ++s) {
       const int r = slot_rank[static_cast<std::size_t>(s)];
       Channel& ch = group_->channel(r);
-      const double sent0 = ch.bytes_sent(), ss0 = ch.send_seconds();
+      const TransportMarks marks(ch);
 
-      // Block tables: the replicated operand ships whole (in key order); the
-      // distributed operand ships only blocks this rank's bins reference, in
-      // first-touch (bin, pair) order — deterministic either way.
-      std::vector<const tensor::DenseTensor*> table_a, table_b;
-      // tt-lint: allow(ordered-iteration) lookup-only interning index: never iterated; shipped table order is first-touch insertion order, which is deterministic
-      std::unordered_map<const tensor::DenseTensor*, std::uint32_t> index_a, index_b;
-      auto intern = [](std::vector<const tensor::DenseTensor*>& table, auto& index,
-                       const tensor::DenseTensor* blk) {
-        auto [it, fresh] = index.try_emplace(blk, static_cast<std::uint32_t>(table.size()));
-        if (fresh) table.push_back(blk);
-        return it->second;
-      };
-      if (replicated == 0)
-        for (const auto& kv : a.blocks()) intern(table_a, index_a, &kv.second);
-      else
-        for (const auto& kv : b.blocks()) intern(table_b, index_b, &kv.second);
-
-      struct WirePair {
-        std::uint32_t ia, ib;
-      };
-      std::vector<std::vector<WirePair>> wire_bins;
-      wire_bins.reserve(slot_bins[static_cast<std::size_t>(s)].size());
-      for (std::size_t g : slot_bins[static_cast<std::size_t>(s)]) {
-        std::vector<WirePair>& wb = wire_bins.emplace_back();
-        wb.reserve(bins[g].pairs.size());
-        for (const symm::BinPair& pw : bins[g].pairs)
-          wb.push_back({intern(table_a, index_a, pw.ablk),
-                        intern(table_b, index_b, pw.bblk)});
-      }
-
-      WireWriter w;
-      w.str(plan.spec);
-      w.u32(static_cast<std::uint32_t>(opts_.worker_threads));
-      w.u32(collect_ops ? 1 : 0);
-      // Root-decided worker faults travel inside the task frame (see
-      // WorkerTask) so their counters are exact in both spawn modes.
-      w.u32(inj.should_fire("worker.kill_before_result", r, FaultSide::kWorker) ? 1 : 0);
-      w.u32(inj.should_fire("worker.fail_task", r, FaultSide::kWorker) ? 1 : 0);
-      w.f64(opts_.timeout_seconds);
-      w.u64(table_a.size());
+      const Timer encode;
+      std::vector<std::byte> payload;
       double operand_words = 0.0;
-      for (const tensor::DenseTensor* t : table_a) {
-        w.tensor(*t);
-        operand_words += static_cast<double>(t->size());
-      }
-      w.u64(table_b.size());
-      for (const tensor::DenseTensor* t : table_b) {
-        w.tensor(*t);
-        operand_words += static_cast<double>(t->size());
-      }
-      w.u64(wire_bins.size());
-      for (std::size_t i = 0; i < wire_bins.size(); ++i) {
-        w.u64(slot_bins[static_cast<std::size_t>(s)][i]);
-        w.u64(wire_bins[i].size());
-        for (const WirePair& p : wire_bins[i]) {
-          w.u32(p.ia);
-          w.u32(p.ib);
+      {
+        TT_TRACE_SPAN("sched.encode", TraceCat::kScheduler);
+        // Block tables: the replicated operand ships whole (in key order);
+        // the distributed operand ships only blocks this rank's bins
+        // reference, in first-touch (bin, pair) order — deterministic either
+        // way.
+        TaskFrame task;
+        // tt-lint: allow(ordered-iteration) lookup-only interning index: never iterated; shipped table order is first-touch insertion order, which is deterministic
+        std::unordered_map<const tensor::DenseTensor*, std::uint32_t> index_a, index_b;
+        auto intern = [](std::vector<const tensor::DenseTensor*>& table, auto& index,
+                         const tensor::DenseTensor* blk) {
+          auto [it, fresh] =
+              index.try_emplace(blk, static_cast<std::uint32_t>(table.size()));
+          if (fresh) table.push_back(blk);
+          return it->second;
+        };
+        if (replicated == 0)
+          for (const auto& kv : a.blocks()) intern(task.table_a, index_a, &kv.second);
+        else
+          for (const auto& kv : b.blocks()) intern(task.table_b, index_b, &kv.second);
+
+        task.bins.reserve(slot_bins[static_cast<std::size_t>(s)].size());
+        for (std::size_t g : slot_bins[static_cast<std::size_t>(s)]) {
+          TaskFrame::Bin& wb = task.bins.emplace_back();
+          wb.id = g;
+          wb.pairs.reserve(bins[g].pairs.size());
+          for (const symm::BinPair& pw : bins[g].pairs)
+            wb.pairs.emplace_back(intern(task.table_a, index_a, pw.ablk),
+                                  intern(task.table_b, index_b, pw.bblk));
         }
+        for (const tensor::DenseTensor* t : task.table_a)
+          operand_words += static_cast<double>(t->size());
+        for (const tensor::DenseTensor* t : task.table_b)
+          operand_words += static_cast<double>(t->size());
+
+        task.spec = plan.spec;
+        task.threads = opts_.worker_threads;
+        task.collect_ops = collect_ops;
+        // Root-decided worker faults travel inside the task frame (see
+        // WorkerTask) so their counters are exact in both spawn modes.
+        task.kill_before_result =
+            inj.should_fire("worker.kill_before_result", r, FaultSide::kWorker);
+        task.fail_task = inj.should_fire("worker.fail_task", r, FaultSide::kWorker);
+        task.timeout_seconds = opts_.timeout_seconds;
+        payload = encode_task(task);
       }
+      d.encode_seconds += encode.seconds();
 
       try {
-        ch.send_frame(kTagTask, w.bytes(), opts_.timeout_seconds);
+        ch.send_frame(kTagTask, payload, opts_.timeout_seconds);
       } catch (const Error&) {
         if (!healing) {
           broken_ = true;
@@ -463,8 +396,9 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
         continue;
       }
       d.exchange_words += operand_words;
-      d.ranks[static_cast<std::size_t>(r)].bytes_sent = ch.bytes_sent() - sent0;
-      d.comm_seconds += ch.send_seconds() - ss0;
+      d.ranks[static_cast<std::size_t>(r)].bytes_sent =
+          ch.bytes_sent() - marks.bytes_sent;
+      marks.charge(ch, d);
     }
   }
 
@@ -493,7 +427,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
       if (slot_failed[static_cast<std::size_t>(s)]) continue;
       const int r = slot_rank[static_cast<std::size_t>(s)];
       Channel& ch = group_->channel(r);
-      const double recv0 = ch.bytes_received(), rs0 = ch.recv_seconds();
+      const TransportMarks marks(ch);
       DistStats::Rank& rr = d.ranks[static_cast<std::size_t>(r)];
       Frame f;
       try {
@@ -508,8 +442,8 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
         record_failure(s, r, /*dead=*/true);
         continue;
       }
-      rr.bytes_received = ch.bytes_received() - recv0;
-      d.comm_seconds += ch.recv_seconds() - rs0;
+      rr.bytes_received = ch.bytes_received() - marks.bytes_received;
+      marks.charge(ch, d);
 
       if (f.tag == kTagError) {
         // The report itself may be damaged (e.g. wire.truncate hitting the
@@ -532,35 +466,19 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
       try {
         TT_CHECK(f.tag == kTagResult,
                  "scheduler rank " << r << " sent unexpected frame tag " << f.tag);
-        WireReader reader(f.payload);
-        rr.busy_seconds = reader.f64();
-        const std::uint64_t nbins = reader.u64();
         const std::vector<std::size_t>& expect = slot_bins[static_cast<std::size_t>(s)];
-        TT_CHECK(nbins == expect.size(),
-                 "scheduler rank " << r << " returned " << nbins
-                                   << " bins, expected " << expect.size());
-        rr.bins = static_cast<int>(nbins);
+        const Timer decode;
+        WorkerReply reply = [&] {
+          TT_TRACE_SPAN("sched.decode", TraceCat::kScheduler);
+          return parse_result(f.payload, expect);
+        }();
+        d.decode_seconds += decode.seconds();
+        rr.busy_seconds = reply.busy_seconds;
+        rr.codec_seconds = reply.codec_seconds;
+        rr.bins = static_cast<int>(expect.size());
         for (std::size_t i = 0; i < expect.size(); ++i) {
-          const std::uint64_t g = reader.u64();
-          TT_CHECK(g == expect[i], "scheduler rank " << r << " returned bin " << g
-                                                     << ", expected " << expect[i]);
-          symm::BinExecution& bin = done[static_cast<std::size_t>(g)];
-          bin.flops = reader.f64();
-          bin.permuted_words = reader.f64();
-          const std::uint64_t nops = reader.u64();
-          // 4 doubles per op on the wire; bound before the resize so a
-          // corrupt count heals instead of OOMing the root.
-          TT_CHECK(nops <= reader.remaining() / 32,
-                   "result bin claims " << nops << " ops in "
-                                        << reader.remaining() << " bytes");
-          bin.ops.resize(static_cast<std::size_t>(nops));
-          for (symm::BlockOpCost& op : bin.ops) {
-            op.flops = reader.f64();
-            op.words_a = reader.f64();
-            op.words_b = reader.f64();
-            op.words_c = reader.f64();
-          }
-          bin.result = reader.tensor();
+          symm::BinExecution& bin = done[expect[i]];
+          bin = std::move(reply.bins[i]);
           rr.flops += bin.flops;
           d.exchange_words += static_cast<double>(bin.result.size());
         }
@@ -575,6 +493,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
         rr.bins = 0;
         rr.flops = 0.0;
         rr.busy_seconds = 0.0;
+        rr.codec_seconds = 0.0;
         record_failure(s, r, /*dead=*/true);
         continue;
       }

@@ -23,8 +23,10 @@
 // Measured per-rank quantities (busy time, bytes each way, transport wall
 // time) land in DistStats and reduce into the existing rt::CostTracker in
 // fixed rank order: GEMM time = the critical (max) rank, imbalance = the idle
-// tail of the other ranks, comm = root transport wall, words = data words
-// actually moved. See docs/ARCHITECTURE.md "The distributed block scheduler".
+// tail of the other ranks, comm = root transport wall (split into checksum,
+// syscall and wait parts), words = data words actually moved. The task and
+// result payloads are encoded and parsed by runtime/task_frames.hpp. See
+// docs/ARCHITECTURE.md "The distributed block scheduler".
 //
 // The scheduler is fault tolerant: a worker that dies, wedges, fails its
 // task, or corrupts its reply has its bin share re-executed on the root
@@ -114,11 +116,20 @@ struct DistStats {
     double busy_seconds = 0.0;   ///< wall time executing bins
     double bytes_sent = 0.0;     ///< root -> rank frame bytes (operands)
     double bytes_received = 0.0; ///< rank -> root frame bytes (results)
+    double codec_seconds = 0.0;  ///< worker's own task decode + result encode wall
   };
   std::vector<Rank> ranks;       ///< fixed rank order, index = rank
 
   int contractions = 0;
-  double comm_seconds = 0.0;     ///< root wall time inside transport calls
+  /// Root wall time inside transport calls, split into exactly three parts:
+  double comm_seconds = 0.0;
+  double checksum_seconds = 0.0;  ///< hashing frame payloads (wire_checksum)
+  double syscall_seconds = 0.0;   ///< send()/recv() and the frame buffers around them
+  double wait_seconds = 0.0;      ///< blocked in poll() on a worker not yet ready
+  /// Root wall time serializing task frames / parsing result frames. Outside
+  /// comm_seconds: the root is busy, not communicating.
+  double encode_seconds = 0.0;
+  double decode_seconds = 0.0;
   double exchange_words = 0.0;   ///< tensor words moved (operands + results)
   double critical_busy_seconds = 0.0;  ///< Σ over contractions of max-rank busy
   double imbalance_seconds = 0.0;      ///< Σ over contractions, ranks of (max − busy)
@@ -131,9 +142,11 @@ struct DistStats {
   /// Reduce into a cost tracker in fixed rank order: kGemm += critical busy,
   /// kComm += transport wall, kImbalance += idle tails, kRecovery += recovery
   /// wall, words += exchanged words, flops += per-rank flops (rank order),
-  /// one superstep per contraction. Note kComm is measured at the root and
-  /// includes time blocked waiting on results — see docs/BENCHMARKS.md
-  /// "Measured vs replayed" for the decomposition caveat.
+  /// one superstep per contraction. kComm is the root's whole transport
+  /// wall, including time blocked waiting on results; checksum_seconds,
+  /// syscall_seconds and wait_seconds say which part was which (see
+  /// docs/BENCHMARKS.md "Measured vs replayed"). Encode/decode time is not
+  /// charged: the tracker has no category for it.
   void charge(CostTracker& t) const;
 
   /// Rank-wise and scalar accumulation (for multi-contraction aggregates).

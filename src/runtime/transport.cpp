@@ -78,6 +78,9 @@ Channel& Channel::operator=(Channel&& other) noexcept {
     bytes_received_ = other.bytes_received_;
     send_seconds_ = other.send_seconds_;
     recv_seconds_ = other.recv_seconds_;
+    checksum_seconds_ = other.checksum_seconds_;
+    wait_seconds_ = other.wait_seconds_;
+    syscall_seconds_ = other.syscall_seconds_;
     other.fd_ = -1;
   }
   return *this;
@@ -121,7 +124,9 @@ void Channel::write_all(const std::byte* p, std::size_t n, double timeout_second
                                                        << "s (" << done << "/" << n
                                                        << " bytes written)");
     struct pollfd pfd{fd_, POLLOUT, 0};
+    const Timer waited;
     const int pr = ::poll(&pfd, 1, ms);
+    wait_seconds_ += waited.seconds();
     TT_CHECK(pr >= 0 || errno == EINTR,
              "transport poll failed: " << std::strerror(errno));
     if (pr > 0 && (pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) &&
@@ -157,7 +162,9 @@ void Channel::read_all(std::byte* p, std::size_t n, double timeout_seconds,
                                                        << "s (" << done << "/" << n
                                                        << " bytes read)");
     struct pollfd pfd{fd_, POLLIN, 0};
+    const Timer waited;
     const int pr = ::poll(&pfd, 1, ms);
+    wait_seconds_ += waited.seconds();
     TT_CHECK(pr >= 0 || errno == EINTR,
              "transport poll failed: " << std::strerror(errno));
     // POLLHUP with pending data still reads fine; the next recv() returning 0
@@ -165,16 +172,32 @@ void Channel::read_all(std::byte* p, std::size_t n, double timeout_seconds,
   }
 }
 
+std::uint64_t Channel::timed_checksum(const std::vector<std::byte>& payload) {
+  TT_TRACE_SPAN("wire.checksum", TraceCat::kComm);
+  const Timer t;
+  const std::uint64_t sum = wire_checksum(payload.data(), payload.size());
+  checksum_seconds_ += t.seconds();
+  return sum;
+}
+
+void Channel::book_call(double seconds, double checksum0, double wait0) {
+  syscall_seconds_ += seconds - (checksum_seconds_ - checksum0) - (wait_seconds_ - wait0);
+}
+
 void Channel::send_frame(std::uint32_t tag, const std::vector<std::byte>& payload,
                          double timeout_seconds) {
   TT_TRACE_SPAN("wire.send", TraceCat::kComm);
   Timer t;
+  const double checksum0 = checksum_seconds_, wait0 = wait_seconds_;
   FaultInjector& inj = FaultInjector::instance();
   FaultSpec delay;
   if (inj.should_fire("frame.delay", fault_rank_, fault_side_, &delay) &&
-      delay.ms > 0.0)
+      delay.ms > 0.0) {
+    const Timer slept;
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(delay.ms));
+    wait_seconds_ += slept.seconds();
+  }
   const bool truncate = inj.should_fire("frame.truncate", fault_rank_, fault_side_);
   const bool corrupt =
       !payload.empty() && inj.should_fire("payload.corrupt", fault_rank_, fault_side_);
@@ -184,7 +207,7 @@ void Channel::send_frame(std::uint32_t tag, const std::vector<std::byte>& payloa
   const std::uint64_t len = payload.size();
   // Checksum over the *original* payload, so an injected corruption below is
   // exactly what a real bit flip would be: a mismatch the receiver detects.
-  const std::uint64_t sum = wire_checksum(payload.data(), payload.size());
+  const std::uint64_t sum = timed_checksum(payload);
   TT_CHECK(len <= kMaxFramePayload, "frame payload " << len << " exceeds limit");
   std::memcpy(header, &magic, 4);
   std::memcpy(header + 4, &tag, 4);
@@ -210,12 +233,15 @@ void Channel::send_frame(std::uint32_t tag, const std::vector<std::byte>& payloa
   }
   if (!body->empty()) write_all(body->data(), body->size(), timeout_seconds);
   bytes_sent_ += static_cast<double>(kHeaderBytes + payload.size());
-  send_seconds_ += t.seconds();
+  const double seconds = t.seconds();
+  send_seconds_ += seconds;
+  book_call(seconds, checksum0, wait0);
 }
 
 Frame Channel::recv_frame(double timeout_seconds) {
   TT_TRACE_SPAN("wire.recv", TraceCat::kComm);
   Timer t;
+  const double checksum0 = checksum_seconds_, wait0 = wait_seconds_;
   std::byte header[kHeaderBytes];
   read_all(header, kHeaderBytes, timeout_seconds, /*eof_is_truncation=*/false);
   std::uint32_t magic = 0;
@@ -233,11 +259,13 @@ Frame Channel::recv_frame(double timeout_seconds) {
   if (len > 0)
     read_all(f.payload.data(), f.payload.size(), timeout_seconds,
              /*eof_is_truncation=*/true);
-  TT_CHECK(wire_checksum(f.payload.data(), f.payload.size()) == sum,
+  TT_CHECK(timed_checksum(f.payload) == sum,
            "transport frame corrupt: payload checksum mismatch ("
                << f.payload.size() << " bytes, tag " << f.tag << ")");
   bytes_received_ += static_cast<double>(kHeaderBytes + f.payload.size());
-  recv_seconds_ += t.seconds();
+  const double seconds = t.seconds();
+  recv_seconds_ += seconds;
+  book_call(seconds, checksum0, wait0);
   return f;
 }
 

@@ -8,7 +8,8 @@
 // (EOF inside a payload) is detected by the length prefix and reported as a
 // truncation, never returned as partial data. Byte and wall-time counters
 // make communication a *measured* quantity for the scheduler's cost
-// accounting.
+// accounting, and split each call's wall time into checksum, syscall and
+// wait parts.
 //
 // A WorkerGroup owns N-1 worker ranks, each connected to the calling (root)
 // process by one Channel. Two spawn modes share the protocol code:
@@ -92,12 +93,27 @@ class Channel {
   static std::pair<Channel, Channel> make_pair();
 
   // Measured transport quantities, accumulated over the channel lifetime.
+  // Every second of send_seconds() + recv_seconds() falls in exactly one of
+  // the three parts below:
+  //   checksum_seconds  hashing payloads (wire_checksum, both directions);
+  //   wait_seconds      blocked in poll() on a peer that is not ready, plus
+  //                     injected frame delays;
+  //   syscall_seconds   the rest: send()/recv() copying bytes, and the frame
+  //                     header and payload buffer around them.
   double bytes_sent() const { return bytes_sent_; }
   double bytes_received() const { return bytes_received_; }
   double send_seconds() const { return send_seconds_; }
   double recv_seconds() const { return recv_seconds_; }
+  double checksum_seconds() const { return checksum_seconds_; }
+  double wait_seconds() const { return wait_seconds_; }
+  double syscall_seconds() const { return syscall_seconds_; }
 
  private:
+  std::uint64_t timed_checksum(const std::vector<std::byte>& payload);
+  /// Books one finished call of `seconds` wall time, of which the checksum
+  /// and wait parts were already accumulated since the given marks.
+  void book_call(double seconds, double checksum0, double wait0);
+
   void write_all(const std::byte* p, std::size_t n, double timeout_seconds);
   void read_all(std::byte* p, std::size_t n, double timeout_seconds,
                 bool eof_is_truncation);
@@ -109,6 +125,9 @@ class Channel {
   double bytes_received_ = 0.0;
   double send_seconds_ = 0.0;
   double recv_seconds_ = 0.0;
+  double checksum_seconds_ = 0.0;
+  double wait_seconds_ = 0.0;
+  double syscall_seconds_ = 0.0;
 };
 
 /// N-1 worker ranks (1..num_ranks-1), each running `fn(rank, channel)` and

@@ -198,6 +198,37 @@ TEST(Checkpoint, RejectsMissingTruncatedAndCorruptSnapshots) {
   }
 }
 
+TEST(Checkpoint, VersionOneManifestIsRefusedByVersionNotChecksum) {
+  // A version-1 manifest carries the old FNV-1a snapshot checksum. Loading
+  // it must fail as an unsupported version, never as a corrupt snapshot.
+  Problem p = heisenberg(4);
+  const std::string dir = fresh_dir("ckpt_v1manifest");
+  {
+    CheckpointManager mgr(dir);
+    mgr.save(Mps::product_state(p.sites, p.neel), SweepPosition{}, {});
+  }
+  const fs::path manifest = fs::path(dir) / "MANIFEST";
+  std::string text;
+  {
+    std::ifstream is(manifest);
+    std::getline(is, text);
+    EXPECT_EQ(text, "TTCKPT-MANIFEST 2");
+    std::string entry;
+    std::getline(is, entry);
+    text = "TTCKPT-MANIFEST 1\n" + entry + "\n";
+  }
+  std::ofstream(manifest) << text;
+  try {
+    CheckpointManager mgr(dir);
+    FAIL() << "version-1 manifest was accepted";
+  } catch (const tt::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unsupported TTCKPT-MANIFEST version 1"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("checksum"), std::string::npos) << what;
+  }
+}
+
 TEST(Checkpoint, ResumeWithoutManagerOrSnapshotThrows) {
   Problem p = heisenberg(4);
   SweepParams sp;

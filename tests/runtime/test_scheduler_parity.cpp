@@ -158,6 +158,29 @@ TEST_P(SchedulerModes, RepeatedContractionsReuseWorkersAndAccumulate) {
   EXPECT_DOUBLE_EQ(t.flops(), sched.accumulated().total_flops());
 }
 
+TEST_P(SchedulerModes, CommTimeSplitsIntoChecksumSyscallAndWait) {
+  auto [a, b] = many_block_pair(45);
+  SchedulerOptions opts;
+  opts.num_ranks = 2;
+  opts.mode = GetParam();
+  Scheduler sched(opts);
+  for (int it = 0; it < 3; ++it) (void)sched.contract(a, b, {{2, 0}});
+
+  for (const DistStats* d : {&sched.last(), &sched.accumulated()}) {
+    EXPECT_GT(d->comm_seconds, 0.0);
+    EXPECT_GT(d->checksum_seconds, 0.0);
+    EXPECT_GT(d->syscall_seconds, 0.0);
+    EXPECT_GE(d->wait_seconds, 0.0);
+    EXPECT_NEAR(d->checksum_seconds + d->syscall_seconds + d->wait_seconds,
+                d->comm_seconds, 0.02 * d->comm_seconds);
+    // Serializing and parsing happen outside the transport calls.
+    EXPECT_GT(d->encode_seconds, 0.0);
+    EXPECT_GT(d->decode_seconds, 0.0);
+    EXPECT_EQ(d->ranks[0].codec_seconds, 0.0);  // the root ships nothing to itself
+    EXPECT_GT(d->ranks[1].codec_seconds, 0.0);
+  }
+}
+
 TEST_P(SchedulerModes, MultiModeAndScalarOutputsStayDeterministic) {
   auto [a, b] = many_block_pair(43);
   (void)b;

@@ -1,10 +1,14 @@
 // Wire encoding round trips: every field type survives write/read bitwise,
-// and torn or oversized messages fail loudly instead of yielding garbage.
+// torn or oversized messages fail loudly instead of yielding garbage, and the
+// frame checksum is XXH64 of the bytes alone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "runtime/wire.hpp"
 #include "support/rng.hpp"
@@ -78,35 +82,105 @@ TEST(Wire, ScalarTensorRoundTrips) {
   EXPECT_EQ(back[0], -2.5);
 }
 
-TEST(Wire, ChecksumIsBytewiseFnv1aAtAnyAlignment) {
-  // The frame checksum must be a pure function of the byte sequence — never
-  // of the buffer's alignment or a word-at-a-time read width. Pin FNV-1a
-  // against an independent byte-wise reference, including a deliberately
-  // misaligned view one byte into the buffer (the ubsan leg would flag a
-  // future vectorized rewrite that loads words through the unaligned
-  // pointer).
-  Rng rng(41);
-  std::vector<std::byte> buf(129);
+// Plain scalar XXH64 (seed 0): words assembled byte by byte in little-endian
+// order, one lane at a time, no memcpy — an independent statement of the
+// function wire_checksum must compute.
+std::uint64_t reference_checksum(const std::byte* p, std::size_t n) {
+  constexpr std::uint64_t P1 = 0x9E3779B185EBCA87ull, P2 = 0xC2B2AE3D27D4EB4Full,
+                          P3 = 0x165667B19E3779F9ull, P4 = 0x85EBCA77C2B2AE63ull,
+                          P5 = 0x27D4EB2F165667C5ull;
+  auto rotl = [](std::uint64_t x, int r) { return (x << r) | (x >> (64 - r)); };
+  auto word = [&](std::size_t at, int width) {
+    std::uint64_t v = 0;
+    for (int k = width - 1; k >= 0; --k)
+      v = (v << 8) | std::to_integer<std::uint64_t>(p[at + static_cast<std::size_t>(k)]);
+    return v;
+  };
+  auto step = [&](std::uint64_t acc, std::uint64_t w) {
+    return rotl(acc + w * P2, 31) * P1;
+  };
+  std::size_t i = 0;
+  std::uint64_t h = P5;
+  if (n >= 32) {
+    std::uint64_t lane[4] = {P1 + P2, P2, 0, 0 - P1};
+    for (; i + 32 <= n; i += 32)
+      for (int l = 0; l < 4; ++l)
+        lane[l] = step(lane[l], word(i + 8 * static_cast<std::size_t>(l), 8));
+    h = rotl(lane[0], 1) + rotl(lane[1], 7) + rotl(lane[2], 12) + rotl(lane[3], 18);
+    for (std::uint64_t v : lane) h = (h ^ step(0, v)) * P1 + P4;
+  }
+  h += n;
+  for (; i + 8 <= n; i += 8) h = rotl(h ^ step(0, word(i, 8)), 27) * P1 + P4;
+  if (i + 4 <= n) {
+    h = rotl(h ^ (word(i, 4) * P1), 23) * P2 + P3;
+    i += 4;
+  }
+  for (; i < n; ++i) h = rotl(h ^ (word(i, 1) * P5), 11) * P1;
+  h = (h ^ (h >> 33)) * P2;
+  h = (h ^ (h >> 29)) * P3;
+  return h ^ (h >> 32);
+}
+
+std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::byte> buf(n);
   for (auto& b : buf)
     b = static_cast<std::byte>(static_cast<unsigned char>(rng.integer(0, 255)));
+  return buf;
+}
 
-  auto reference = [](const std::byte* p, std::size_t n) {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= static_cast<std::uint64_t>(std::to_integer<unsigned char>(p[i]));
-      h *= 0x100000001b3ull;
+TEST(Wire, ChecksumIsAPureFunctionOfTheBytesAtAnyAlignment) {
+  // The frame checksum must depend on the byte sequence only — never on the
+  // buffer's alignment. Compare against the scalar reference at offsets 0,
+  // 1 and 7 (the ubsan leg flags any word load through a misaligned
+  // pointer) and at every length 0..129, which covers the empty input, each
+  // tail shape and one to four full 32-byte stripes.
+  const std::vector<std::byte> buf = random_bytes(129 + 7, 41);
+  for (std::size_t offset : {0, 1, 7})
+    for (std::size_t n = 0; n <= 129; ++n)
+      ASSERT_EQ(tt::rt::wire_checksum(buf.data() + offset, n),
+                reference_checksum(buf.data() + offset, n))
+          << "offset " << offset << ", length " << n;
+  // Same bytes at a different address: same value.
+  std::vector<std::byte> moved(buf.begin() + 1, buf.begin() + 65);
+  EXPECT_EQ(tt::rt::wire_checksum(moved.data(), moved.size()),
+            tt::rt::wire_checksum(buf.data() + 1, 64));
+  // Published XXH64 (seed 0) vectors: "" and "abc".
+  EXPECT_EQ(tt::rt::wire_checksum(buf.data(), 0), 0xEF46DB3751D8E999ull);
+  const std::byte abc[] = {std::byte{'a'}, std::byte{'b'}, std::byte{'c'}};
+  EXPECT_EQ(tt::rt::wire_checksum(abc, 3), 0x44BC2CF5AD770999ull);
+}
+
+TEST(Wire, ChecksumChangesOnEveryBitFlipLaneSwapAndZeroExtension) {
+  std::vector<std::byte> buf = random_bytes(129, 43);
+  const std::uint64_t base = tt::rt::wire_checksum(buf.data(), buf.size());
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    for (int bit = 0; bit < 8; ++bit) {
+      buf[i] ^= std::byte{1} << bit;
+      EXPECT_NE(tt::rt::wire_checksum(buf.data(), buf.size()), base)
+          << "bit " << bit << " of byte " << i;
+      buf[i] ^= std::byte{1} << bit;
     }
-    return h;
-  };
 
-  EXPECT_EQ(tt::rt::wire_checksum(buf.data(), buf.size()),
-            reference(buf.data(), buf.size()));
-  EXPECT_EQ(tt::rt::wire_checksum(buf.data() + 1, buf.size() - 1),
-            reference(buf.data() + 1, buf.size() - 1));
-  EXPECT_EQ(tt::rt::wire_checksum(buf.data() + 7, 64),
-            reference(buf.data() + 7, 64));
-  // Golden value: the empty checksum is the FNV offset basis.
-  EXPECT_EQ(tt::rt::wire_checksum(buf.data(), 0), 0xcbf29ce484222325ull);
+  // Words 0 and 1 of a stripe feed different lanes; so do word 2 of the
+  // first stripe and word 7 of the second.
+  for (auto [x, y] : {std::pair<std::size_t, std::size_t>{0, 1}, {2, 7}}) {
+    std::vector<std::byte> swapped = buf;
+    std::swap_ranges(swapped.begin() + static_cast<std::ptrdiff_t>(8 * x),
+                     swapped.begin() + static_cast<std::ptrdiff_t>(8 * x + 8),
+                     swapped.begin() + static_cast<std::ptrdiff_t>(8 * y));
+    ASSERT_NE(swapped, buf);
+    EXPECT_NE(tt::rt::wire_checksum(swapped.data(), swapped.size()), base)
+        << "words " << x << " and " << y << " swapped";
+  }
+
+  // Appending zero bytes changes the length, which is folded in.
+  std::vector<std::byte> longer = buf;
+  for (int extra = 1; extra <= 40; ++extra) {
+    longer.push_back(std::byte{0});
+    EXPECT_NE(tt::rt::wire_checksum(longer.data(), longer.size()), base)
+        << extra << " zero bytes appended";
+  }
 }
 
 TEST(Wire, TruncatedMessageThrowsOnEveryFieldType) {
@@ -138,6 +212,33 @@ TEST(Wire, OversizedLengthPrefixIsRejectedNotAllocated) {
   w.u64(std::numeric_limits<std::uint64_t>::max());  // bogus string length
   WireReader r(w.bytes());
   EXPECT_THROW(r.str(), Error);
+}
+
+TEST(Wire, LengthPrefixBeyondTheMessageIsRejectedBeforeAllocating) {
+  // Prefixes under the 1 GiB field cap that promise more bytes than the
+  // message holds: each must throw on the claim itself, before the reader
+  // allocates (and zero-fills) the claimed size.
+  WireWriter ws;
+  ws.u64(std::uint64_t{1} << 29);  // 512 MiB string in an 8-byte message
+  WireReader rs(ws.bytes());
+  try {
+    (void)rs.str();
+    FAIL() << "oversized string claim was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("claims"), std::string::npos) << e.what();
+  }
+
+  WireWriter wl;
+  wl.u64(std::uint64_t{1} << 27);  // 512 MiB of int32s
+  WireReader rl(wl.bytes());
+  EXPECT_THROW((void)rl.i32_list(), Error);
+
+  WireWriter wt;
+  wt.u64(2);
+  wt.i64(std::int64_t{1} << 13);
+  wt.i64(std::int64_t{1} << 13);  // 2^26 doubles = 512 MiB
+  WireReader rt(wt.bytes());
+  EXPECT_THROW((void)rt.tensor(), Error);
 }
 
 TEST(Wire, TensorWithOverflowingDimProductIsRejected) {
