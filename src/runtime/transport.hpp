@@ -93,8 +93,9 @@ class Channel {
   static std::pair<Channel, Channel> make_pair();
 
   // Measured transport quantities, accumulated over the channel lifetime.
-  // Every second of send_seconds() + recv_seconds() falls in exactly one of
-  // the three parts below:
+  // The wall time of every completed call (send_seconds() + recv_seconds())
+  // falls in exactly one of the three parts below; a call that throws adds
+  // only what it spent hashing or waiting:
   //   checksum_seconds  hashing payloads (wire_checksum, both directions);
   //   wait_seconds      blocked in poll() on a peer that is not ready, plus
   //                     injected frame delays;
